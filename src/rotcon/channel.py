@@ -11,6 +11,7 @@ the work is partitioned.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,20 +63,23 @@ class BerReport:
     rows: tuple[BerRow, ...]
     rng_algorithm: str = "numpy-PCG64-spawned-substreams"
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
+    def to_csv(self, dest) -> None:
+        """Write the rows as CSV to a path or to an open text stream."""
+        if isinstance(dest, (str, os.PathLike)):
+            with open(dest, "w", newline="") as fh:
+                return self.to_csv(fh)
+        w = csv.writer(dest)
+        w.writerow(
+            ["ebn0_db", "bits", "bit_errors", "ber", "ber_lo", "ber_hi",
+             "symbol_errors", "ser", "seed"]
+        )
+        for r in self.rows:
+            lo, hi = r.ber_wilson()
             w.writerow(
-                ["ebn0_db", "bits", "bit_errors", "ber", "ber_lo", "ber_hi",
-                 "symbol_errors", "ser", "seed"]
+                [r.ebn0_db, r.bits_simulated, r.bit_errors,
+                 f"{r.ber:.8g}", f"{lo:.8g}", f"{hi:.8g}",
+                 r.symbol_errors, f"{r.ser:.8g}", r.seed]
             )
-            for r in self.rows:
-                lo, hi = r.ber_wilson()
-                w.writerow(
-                    [r.ebn0_db, r.bits_simulated, r.bit_errors,
-                     f"{r.ber:.8g}", f"{lo:.8g}", f"{hi:.8g}",
-                     r.symbol_errors, f"{r.ser:.8g}", r.seed]
-                )
 
 
 def wilson_interval(errors: int, trials: int, z: float = 1.96) -> tuple[float, float]:

@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 usage error, 3 bad input data, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -100,7 +101,15 @@ def _parse_ebn0(arg: str) -> list[float]:
 
 
 def _out_stream(args):
-    return open(args.out, "w", newline="") if args.out else sys.stdout
+    """The --out file, or stdout (left open on exit) when --out is not given."""
+    return open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
+
+
+def _write_json(args, doc: dict) -> None:
+    with _out_stream(args) as fh:
+        json.dump(doc, fh, indent=2)
+    if not args.out:
+        print()
 
 
 def cmd_gen(args) -> int:
@@ -134,12 +143,7 @@ def cmd_family(args) -> int:
                     "DVB-NGH rotated constellations",
             "provenance": _provenance(args),
         }
-        fh = _out_stream(args)
-        json.dump(doc, fh, indent=2)
-        if fh is not sys.stdout:
-            fh.close()
-        else:
-            print()
+        _write_json(args, doc)
     else:
         save_rotation_csv(q, args.out or sys.stdout)
     return 0
@@ -152,23 +156,16 @@ def cmd_metrics(args) -> int:
     if args.format == "json":
         doc = report.to_jsonable()
         doc["provenance"] = _provenance(args)
-        fh = _out_stream(args)
-        json.dump(doc, fh, indent=2)
-        if fh is not sys.stdout:
-            fh.close()
-        else:
-            print()
+        _write_json(args, doc)
     else:
-        fh = _out_stream(args)
-        w = csv.writer(fh)
-        w.writerow(["radius", "local_cutoff_rate", "diversity_order",
-                    "min_product_distance", "min_product_distance_norm"])
-        for r in report.radii:
-            w.writerow([r, f"{report.local_cutoff_rate[r]:.12g}", report.diversity[r],
-                        f"{report.min_product[r]:.12g}",
-                        f"{report.min_product_normalized[r]:.12g}"])
-        if fh is not sys.stdout:
-            fh.close()
+        with _out_stream(args) as fh:
+            w = csv.writer(fh)
+            w.writerow(["radius", "local_cutoff_rate", "diversity_order",
+                        "min_product_distance", "min_product_distance_norm"])
+            for r in report.radii:
+                w.writerow([r, f"{report.local_cutoff_rate[r]:.12g}", report.diversity[r],
+                            f"{report.min_product[r]:.12g}",
+                            f"{report.min_product_normalized[r]:.12g}"])
     return 0
 
 
@@ -209,13 +206,9 @@ def cmd_opt_nuqam(args) -> int:
     res = optimize_nuqam(args.q_bits, ch, restarts=args.restarts, seed=args.seed)
     doc = {"q_bits": args.q_bits, "alpha": list(res.alpha.alpha),
            "R_bits": res.objective, "iterations": res.iterations,
-           "converged": res.converged, "provenance": _provenance(args)}
-    fh = _out_stream(args)
-    json.dump(doc, fh, indent=2)
-    if fh is not sys.stdout:
-        fh.close()
-    else:
-        print()
+           "converged": res.converged, "reason": res.reason,
+           "provenance": _provenance(args)}
+    _write_json(args, doc)
     return 0
 
 
@@ -228,21 +221,20 @@ def cmd_sweep(args) -> int:
         except (OSError, ValueError):
             print(f"warning: cannot load comparison rotation {args.compare}; "
                   "delta column omitted", file=sys.stderr)
-    fh = _out_stream(args)
-    w = csv.writer(fh)
-    header = ["ebn0_db", "t_opt_deg", "R_bits"]
-    if compare_q is not None:
-        header.append("delta_R_bits")
-    w.writerow(header)
-    for db in _parse_ebn0(args.ebn0_db):
-        ch = ChannelSpec.from_ebn0_db(db)
-        res = grid_search_t(x, ch, grid_step=math.radians(args.grid_step_deg))
-        row = [db, f"{math.degrees(res.t_opt):.6f}", f"{res.objective:.12g}"]
+    with _out_stream(args) as fh:
+        w = csv.writer(fh)
+        header = ["ebn0_db", "t_opt_deg", "R_bits"]
         if compare_q is not None:
-            row.append(f"{res.objective - cutoff_rate(rotate(x, compare_q), ch):.12g}")
-        w.writerow(row)
-    if fh is not sys.stdout:
-        fh.close()
+            header.append("delta_R_bits")
+        w.writerow(header)
+        x_compare = rotate(x, compare_q) if compare_q is not None else None
+        for db in _parse_ebn0(args.ebn0_db):
+            ch = ChannelSpec.from_ebn0_db(db)
+            res = grid_search_t(x, ch, grid_step=math.radians(args.grid_step_deg))
+            row = [db, f"{math.degrees(res.t_opt):.6f}", f"{res.objective:.12g}"]
+            if x_compare is not None:
+                row.append(f"{res.objective - cutoff_rate(x_compare, ch):.12g}")
+            w.writerow(row)
     return 0
 
 
@@ -250,7 +242,8 @@ def cmd_ber(args) -> int:
     x = _build_constellation(args)
     specs = [ChannelSpec.from_ebn0_db(db) for db in _parse_ebn0(args.ebn0_db)]
     report = ber_monte_carlo(x, specs, min_bits=args.min_bits, seed=args.seed)
-    report.to_csv(args.out or sys.stdout)
+    with _out_stream(args) as fh:
+        report.to_csv(fh)
     return 0
 
 
@@ -259,25 +252,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, constellation=True, ebn0=True):
+    def common(sp, constellation=True, ebn0=True, fmt="csv"):
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", metavar="PATH")
-        sp.add_argument("--format", choices=["csv", "json"], default="csv")
+        sp.add_argument("--format", choices=["csv", "json"], default=fmt)
         if constellation:
             _add_constellation_args(sp)
         if ebn0:
             sp.add_argument("--ebn0-db", required=True,
                             help="comma-separated Eb/N0 values in dB")
-        sp.set_defaults()
         return sp
 
     sp = common(sub.add_parser("gen", help="generate a constellation"), ebn0=False)
     sp.set_defaults(func=cmd_gen)
 
-    sp = sub.add_parser("family", help="emit the family rotation Q(t)")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", metavar="PATH")
-    sp.add_argument("--format", choices=["csv", "json"], default="csv")
+    sp = common(sub.add_parser("family", help="emit the family rotation Q(t)"),
+                constellation=False, ebn0=False)
     sp.add_argument("-k", type=int, required=True, help="dimension exponent, n = 2^k")
     sp.add_argument("--t", type=float, help="parameter in radians")
     sp.add_argument("--t-deg", type=float, help="parameter in degrees")
@@ -295,12 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--profile", metavar="PATH", help="write the (t, R) profile CSV")
     sp.set_defaults(func=cmd_opt_rotation)
 
-    sp = sub.add_parser("opt-nuqam", help="optimize non-uniformity parameters")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", metavar="PATH")
-    sp.add_argument("--format", choices=["csv", "json"], default="json")
+    sp = common(sub.add_parser("opt-nuqam", help="optimize non-uniformity parameters"),
+                constellation=False, fmt="json")
     sp.add_argument("--q-bits", type=int, required=True, choices=[4, 6, 8, 10])
-    sp.add_argument("--ebn0-db", required=True)
     sp.add_argument("--restarts", type=int, default=0)
     sp.set_defaults(func=cmd_opt_nuqam)
 

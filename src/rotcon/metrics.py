@@ -5,6 +5,8 @@ pairs are compressed to the multiset of distinct difference vectors with
 multiplicities, which is exact (coordinates of a pair difference and of the
 corresponding unique-level difference are the same floating-point value)
 and makes the O(m^2) sums cheap for structured constellations.
+Each call, `compute_report` included, builds the multiset once; every
+rational pair sum, the optimizers' too, goes through `pair_sum_rational`.
 """
 
 from __future__ import annotations
@@ -112,9 +114,9 @@ def difference_multiset(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pair_sum_rational(z: np.ndarray, counts: np.ndarray, n0: float) -> float:
-    """Sum over pairs of the product of 1 / (1 + z_i^2 / (8 N0))."""
-    w = 1.0 / (1.0 + z**2 / (8.0 * n0))
-    return float(np.dot(counts.astype(float), np.prod(w, axis=1)))
+    """Sum over pairs of the product of 1 / (1 + z_i^2 / (8 N0)); counts int or float."""
+    w = 1.0 / (1.0 + z**2 * (1.0 / (8.0 * n0)))
+    return float(np.dot(counts, np.prod(w, axis=1)))
 
 
 def rate_from_pair_sum(q_bits: int, s: float) -> float:
@@ -172,14 +174,32 @@ def r0_expected_mc(
     return mean, stderr
 
 
-def _within_radius(z: np.ndarray, r: float) -> np.ndarray:
+def _within_radius(z: np.ndarray, r: float) -> np.ndarray | slice:
     if r == math.inf:
-        return np.ones(len(z), dtype=bool)
+        return slice(None)  # indexing with it gives a view, not a pair-sized copy
     if r <= 0:
         raise ValueError("radius must be positive")
     # closed ball with 1e-12 relative slack so pairs at exactly distance r
     # stay inside despite rotation round-off
     return np.sum(z**2, axis=1) <= r * r * (1.0 + 1e-12)
+
+
+def _diversity(z: np.ndarray, r: float, n: int, coordinate_tol: float) -> int:
+    """Diversity order over the differences z within r; n for an empty ball."""
+    if len(z) == 0:
+        warnings.warn(f"no pair within radius {r}; empty-min convention", EmptyBallWarning)
+        return n
+    return int(np.min(np.sum(np.abs(z) > coordinate_tol, axis=1)))
+
+
+def _min_product(z: np.ndarray, r: float, n: int, coordinate_tol: float) -> tuple[float, float]:
+    """(d_p, d_p ** (1/n)) over the differences z within r; inf for an empty ball."""
+    if len(z) == 0:
+        warnings.warn(f"no pair within radius {r}; empty-min convention", EmptyBallWarning)
+        return math.inf, math.inf
+    az = np.abs(z)
+    dp = float(np.min(np.prod(np.where(az > coordinate_tol, az, 1.0), axis=1)))
+    return dp, dp ** (1.0 / n)
 
 
 def local_cutoff_rate(x: Constellation, r: float, ch: ChannelSpec) -> float:
@@ -194,11 +214,7 @@ def diversity_order(
 ) -> int:
     """Minimum number of coordinates in which two points within r differ."""
     z, _ = difference_multiset(x.points)
-    z = z[_within_radius(z, r)]
-    if len(z) == 0:
-        warnings.warn(f"no pair within radius {r}; empty-min convention", EmptyBallWarning)
-        return x.n
-    return int(np.min(np.sum(np.abs(z) > coordinate_tol, axis=1)))
+    return _diversity(z[_within_radius(z, r)], r, x.n, coordinate_tol)
 
 
 def min_product_distance(
@@ -209,13 +225,7 @@ def min_product_distance(
     Returns (d_p, d_p ** (1/n)), the raw and dimension-normalized values.
     """
     z, _ = difference_multiset(x.points)
-    z = z[_within_radius(z, r)]
-    if len(z) == 0:
-        warnings.warn(f"no pair within radius {r}; empty-min convention", EmptyBallWarning)
-        return math.inf, math.inf
-    az = np.abs(z)
-    dp = float(np.min(np.prod(np.where(az > coordinate_tol, az, 1.0), axis=1)))
-    return dp, dp ** (1.0 / x.n)
+    return _min_product(z[_within_radius(z, r)], r, x.n, coordinate_tol)
 
 
 def high_snr_sum(
@@ -275,16 +285,19 @@ def compute_report(
     radii: tuple[float, ...] = (2.0, math.inf),
     coordinate_tol: float = COORDINATE_TOL,
 ) -> MetricsReport:
-    """Evaluate every metric at each requested radius."""
+    """Evaluate every metric at each requested radius from one multiset."""
+    z, counts = difference_multiset(x.points)
     local_r, div, mp, mpn = {}, {}, {}, {}
     for r in radii:
-        local_r[r] = local_cutoff_rate(x, r, ch)
-        div[r] = diversity_order(x, r, coordinate_tol)
-        mp[r], mpn[r] = min_product_distance(x, r, coordinate_tol)
+        keep = _within_radius(z, r)
+        zr = z[keep]
+        local_r[r] = rate_from_pair_sum(x.q_bits, pair_sum_rational(zr, counts[keep], ch.N0))
+        div[r] = _diversity(zr, r, x.n, coordinate_tol)
+        mp[r], mpn[r] = _min_product(zr, r, x.n, coordinate_tol)
     return MetricsReport(
         q_bits=x.q_bits,
         n=x.n,
-        cutoff_rate=cutoff_rate(x, ch),
+        cutoff_rate=rate_from_pair_sum(x.q_bits, pair_sum_rational(z, counts, ch.N0)),
         radii=list(radii),
         local_cutoff_rate=local_r,
         diversity=div,

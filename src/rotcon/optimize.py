@@ -21,7 +21,7 @@ from .liegroup import (
     geodesic_descent,
     skew_family,
 )
-from .metrics import ChannelSpec, difference_multiset, rate_from_pair_sum
+from .metrics import ChannelSpec, difference_multiset, pair_sum_rational, rate_from_pair_sum
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,7 @@ class AlphaDescentResult:
     objective: float
     iterations: int
     converged: bool
+    reason: str  # "gradient-tolerance" | "max-iterations" | "step-underflow"
 
 
 def _power_of_two_exponent(n: int) -> int:
@@ -84,7 +85,6 @@ def grid_search_t(
     a = skew_family(k).A.entries
     za = z @ a.T
     cf = counts.astype(float)
-    inv8n0 = 1.0 / (8.0 * ch.N0)
     q = x.q_bits
 
     ts = np.arange(0.0, math.pi / 2 + grid_step / 2, grid_step)
@@ -92,9 +92,8 @@ def grid_search_t(
     best_t, best_r = 0.0, -math.inf
     profile = [] if keep_profile else None
     for t in ts:
-        u = math.cos(t) * z + math.sin(t) * za
-        s = float(np.dot(cf, np.prod(1.0 / (1.0 + u**2 * inv8n0), axis=1)))
-        r = rate_from_pair_sum(q, s)
+        u = math.cos(t) * z + math.sin(t) * za  # z @ Q(t).T, since Q(t) = cos(t) I + sin(t) A
+        r = rate_from_pair_sum(q, pair_sum_rational(u, cf, ch.N0))
         if r > best_r:
             best_t, best_r = float(t), r
         if profile is not None:
@@ -108,12 +107,6 @@ def cutoff_rate_gradient(x: Constellation, ch: ChannelSpec, q: RotationMatrix) -
         raise ValueError("rotation and constellation dimensions disagree")
     z, counts = difference_multiset(x.points)
     return _gradient_from_diffs(z, counts.astype(float), x.q_bits, ch.N0, q.entries)
-
-
-def _pair_sum(z, cf, n0, qm):
-    u = z @ qm.T
-    w = 1.0 / (1.0 + u**2 / (8.0 * n0))
-    return float(np.dot(cf, np.prod(w, axis=1)))
 
 
 def _gradient_from_diffs(z, cf, q_bits, n0, qm):
@@ -154,7 +147,7 @@ def optimize_rotation_full(
     q_bits, n0 = x.q_bits, ch.N0
 
     def f(q: RotationMatrix) -> float:
-        return -rate_from_pair_sum(q_bits, _pair_sum(z, cf, n0, q.entries))
+        return -rate_from_pair_sum(q_bits, pair_sum_rational(z @ q.entries.T, cf, n0))
 
     def grad_f(q: RotationMatrix) -> np.ndarray:
         return -_gradient_from_diffs(z, cf, q_bits, n0, q.entries)
@@ -210,7 +203,7 @@ def optimize_nuqam(
         a = _project_alpha(a0, q_bits)
         fval = _nuqam_objective(a, q_bits, ch)
         step = 1.0
-        converged = False
+        reason = "max-iterations"
         it = 0
         for it in range(1, max_iters + 1):
             grad = np.empty_like(a)
@@ -223,7 +216,7 @@ def optimize_nuqam(
                     _nuqam_objective(ap, q_bits, ch) - _nuqam_objective(am, q_bits, ch)
                 ) / (2 * h)
             if np.linalg.norm(grad) < grad_tol:
-                converged = True
+                reason = "gradient-tolerance"
                 break
             while step >= 1e-14:
                 a_new = _project_alpha(a + step * grad, q_bits)
@@ -232,7 +225,7 @@ def optimize_nuqam(
                     break
                 step *= 0.5
             if step < 1e-14:
-                converged = True  # no ascent direction left at fd resolution
+                reason = "step-underflow"  # no ascent direction left at fd resolution
                 break
             a, fval = a_new, f_new
             step = min(step * 2.0, 1e3)
@@ -240,7 +233,8 @@ def optimize_nuqam(
             alpha=NuqamParams(tuple(a)),
             objective=fval,
             iterations=it,
-            converged=converged,
+            converged=reason == "gradient-tolerance",
+            reason=reason,
         )
 
     best = run(np.array(init.alpha, dtype=float))

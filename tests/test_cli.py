@@ -128,6 +128,7 @@ class TestOptNuqamCommand:
         a = doc["alpha"]
         assert len(a) == 2 and a[0] < a[1]
         assert doc["converged"]
+        assert doc["reason"] == "gradient-tolerance"
 
 
 class TestSweepCommand:
@@ -159,6 +160,11 @@ class TestBerCommand:
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 2
         assert all(int(r["bits"]) >= 10000 for r in rows)
+
+    def test_csv_to_stdout(self, capsys):
+        assert main(["ber", "--qam", "4", "--ebn0-db", "10", "--min-bits", "10000"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header == "ebn0_db,bits,bit_errors,ber,ber_lo,ber_hi,symbol_errors,ser,seed"
 
 
 class TestFileRoundtrip:

@@ -270,7 +270,7 @@ class TestLocalDiversityCriterion:
 
 
 class TestReport:
-    def test_report_consistency(self):
+    def test_report_consistency(self, monkeypatch):
         x = normalize_energy(make_qam_product(4, 2), 4.0)
         ch = ChannelSpec.from_ebn0_db(10.0)
         rep = compute_report(x, ch)
@@ -279,3 +279,29 @@ class TestReport:
         doc = rep.to_jsonable()
         assert doc["diversity_order"]["inf"] == 1
         assert "inf" in doc["local_cutoff_rate"]
+
+        # every field equals its standalone metric, empty ball included
+        xr = rotate(normalize_energy(make_qam_product(16, 1), 4.0),
+                    rotation_at(skew_family(1), 0.4))
+        radii = (2.0, math.inf, 1.0)  # nearest neighbors are 1.26 apart
+        with pytest.warns(EmptyBallWarning) as got:
+            rep = compute_report(xr, ch, radii=radii)
+        with pytest.warns(EmptyBallWarning) as want:
+            alone = {r: (local_cutoff_rate(xr, r, ch), diversity_order(xr, r),
+                         min_product_distance(xr, r)) for r in radii}
+        assert [str(w.message) for w in got] == [str(w.message) for w in want]
+        assert rep.cutoff_rate == cutoff_rate(xr, ch)
+        for r in radii:
+            assert rep.local_cutoff_rate[r] == alone[r][0]
+            assert rep.diversity[r] == alone[r][1]
+            assert (rep.min_product[r], rep.min_product_normalized[r]) == alone[r][2]
+
+        # one multiset build per report, whatever the number of radii
+        calls = []
+        build = difference_multiset
+        monkeypatch.setattr("rotcon.metrics.difference_multiset",
+                            lambda points: calls.append(1) or build(points))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptyBallWarning)
+            compute_report(xr, ch, radii=radii)
+        assert len(calls) == 1

@@ -170,6 +170,11 @@ class TestNuqamAscent:
         b = optimize_nuqam(4, ch, restarts=2, seed=5)
         assert a.alpha.alpha == b.alpha.alpha
 
+    def test_not_converged_without_reaching_gradient_tolerance(self):
+        res = optimize_nuqam(4, ChannelSpec.from_ebn0_db(8.0), grad_tol=0.0, max_iters=200)
+        assert res.converged is False
+        assert res.reason in ("max-iterations", "step-underflow")
+
     def test_rejects_bad_q_bits(self):
         with pytest.raises(ValueError):
             optimize_nuqam(5, ChannelSpec.from_ebn0_db(8.0))
