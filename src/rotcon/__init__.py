@@ -30,8 +30,6 @@ from .metrics import (
     is_locally_fully_diverse,
     local_cutoff_rate,
     min_product_distance,
-    r0_conditional,
-    r0_expected_mc,
 )
 from .optimize import (
     cutoff_rate_gradient,
@@ -42,6 +40,7 @@ from .optimize import (
     optimize_rotation_full,
 )
 from .channel import ber_monte_carlo, ml_decode, sample_fade, transmit
+from .channel import r0_conditional, r0_expected_mc
 
 __all__ = [
     "Constellation", "NuqamParams", "make_nuqam", "make_qam_product",

@@ -151,7 +151,7 @@ def cmd_family(args) -> int:
 
 def cmd_metrics(args) -> int:
     x = _build_constellation(args)
-    ch = ChannelSpec.from_ebn0_db(_parse_ebn0(args.ebn0_db)[0])
+    ch = ChannelSpec.from_ebn0_db(args.ebn0_db)
     report = compute_report(x, ch, radii=_parse_radii(args.radius))
     if args.format == "json":
         doc = report.to_jsonable()
@@ -171,7 +171,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_opt_rotation(args) -> int:
     x = _build_constellation(args)
-    ch = ChannelSpec.from_ebn0_db(_parse_ebn0(args.ebn0_db)[0])
+    ch = ChannelSpec.from_ebn0_db(args.ebn0_db)
     if args.mode == "grid":
         res = grid_search_t(x, ch, grid_step=math.radians(args.grid_step_deg),
                             keep_profile=args.profile is not None)
@@ -202,7 +202,7 @@ def cmd_opt_rotation(args) -> int:
 
 
 def cmd_opt_nuqam(args) -> int:
-    ch = ChannelSpec.from_ebn0_db(_parse_ebn0(args.ebn0_db)[0])
+    ch = ChannelSpec.from_ebn0_db(args.ebn0_db)
     res = optimize_nuqam(args.q_bits, ch, restarts=args.restarts, seed=args.seed)
     doc = {"q_bits": args.q_bits, "alpha": list(res.alpha.alpha),
            "R_bits": res.objective, "iterations": res.iterations,
@@ -221,6 +221,9 @@ def cmd_sweep(args) -> int:
         except (OSError, ValueError):
             print(f"warning: cannot load comparison rotation {args.compare}; "
                   "delta column omitted", file=sys.stderr)
+    if compare_q is not None and compare_q.n != x.n:
+        raise InputDataError(f"comparison rotation is {compare_q.n}x{compare_q.n} "
+                             f"but the constellation has dimension {x.n}")
     with _out_stream(args) as fh:
         w = csv.writer(fh)
         header = ["ebn0_db", "t_opt_deg", "R_bits"]
@@ -252,22 +255,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, constellation=True, ebn0=True, fmt="csv"):
+    def common(sp, constellation=True, ebn0="one", fmt="csv"):
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", metavar="PATH")
         sp.add_argument("--format", choices=["csv", "json"], default=fmt)
         if constellation:
             _add_constellation_args(sp)
-        if ebn0:
+        if ebn0 == "one":
+            sp.add_argument("--ebn0-db", type=float, required=True, help="Eb/N0 in dB")
+        elif ebn0 == "list":
             sp.add_argument("--ebn0-db", required=True,
                             help="comma-separated Eb/N0 values in dB")
         return sp
 
-    sp = common(sub.add_parser("gen", help="generate a constellation"), ebn0=False)
+    sp = common(sub.add_parser("gen", help="generate a constellation"), ebn0=None)
     sp.set_defaults(func=cmd_gen)
 
     sp = common(sub.add_parser("family", help="emit the family rotation Q(t)"),
-                constellation=False, ebn0=False)
+                constellation=False, ebn0=None)
     sp.add_argument("-k", type=int, required=True, help="dimension exponent, n = 2^k")
     sp.add_argument("--t", type=float, help="parameter in radians")
     sp.add_argument("--t-deg", type=float, help="parameter in degrees")
@@ -291,12 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--restarts", type=int, default=0)
     sp.set_defaults(func=cmd_opt_nuqam)
 
-    sp = common(sub.add_parser("sweep", help="t_opt and R across Eb/N0 values"))
+    sp = common(sub.add_parser("sweep", help="t_opt and R across Eb/N0 values"), ebn0="list")
     sp.add_argument("--grid-step-deg", type=float, default=0.0572958)
     sp.add_argument("--compare", metavar="CSV", help="rotation to compare against")
     sp.set_defaults(func=cmd_sweep)
 
-    sp = common(sub.add_parser("ber", help="Monte Carlo bit error rate"))
+    sp = common(sub.add_parser("ber", help="Monte Carlo bit error rate"), ebn0="list")
     sp.add_argument("--min-bits", type=int, default=10**6)
     sp.set_defaults(func=cmd_ber)
     return p

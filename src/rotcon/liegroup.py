@@ -15,6 +15,7 @@ import scipy.linalg
 
 ORTHO_TOL = 1e-10
 MAX_HADAMARD_K = 12
+_REPROJECT_EVERY = 50  # descent iterations between polar re-projections
 
 
 @dataclass(frozen=True)
@@ -186,7 +187,6 @@ def geodesic_descent(
     step: float = 0.1,
     max_iters: int = 5000,
     grad_tol: float = 1e-8,
-    reproject_every: int = 50,
 ) -> DescentTrace:
     """Minimize f over SO(n) by the geodesic update Q <- exp(-h X_f(Q)) Q.
 
@@ -198,15 +198,14 @@ def geodesic_descent(
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    q = q0.entries.copy()
-    fval = float(f(RotationMatrix(q)))
+    rq = RotationMatrix(q0.entries.copy())
+    fval = float(f(rq))
     if not np.isfinite(fval):
         raise ValueError("objective is not finite at the initial rotation")
 
     trace = DescentTrace()
     h = step
     for it in range(max_iters + 1):
-        rq = RotationMatrix(q)
         xf = gradient_field(grad_f(rq), rq)
         gnorm = float(np.linalg.norm(xf.entries))
         trace.iterates.append((it, rq, fval, gnorm))
@@ -218,10 +217,11 @@ def geodesic_descent(
             break
         # backtracking: halve the step until f decreases
         while True:
-            q_new = scipy.linalg.expm(-h * xf.entries) @ q
-            if np.max(np.abs(q_new @ q_new.T - np.eye(q.shape[0]))) > ORTHO_TOL:
+            q_new = scipy.linalg.expm(-h * xf.entries) @ rq.entries
+            if np.max(np.abs(q_new @ q_new.T - np.eye(rq.n))) > ORTHO_TOL:
                 q_new = _project_rotation(q_new)
-            f_new = float(f(RotationMatrix(q_new)))
+            r_new = RotationMatrix(q_new)
+            f_new = float(f(r_new))
             if not np.isfinite(f_new):
                 raise ValueError("objective became non-finite during descent")
             if f_new < fval:
@@ -230,11 +230,11 @@ def geodesic_descent(
             if h < 1e-12:
                 trace.reason = "step-underflow"
                 return trace
-        q, fval = q_new, f_new
+        rq, fval = r_new, f_new
         h = step
-        if (it + 1) % reproject_every == 0:
-            q = _project_rotation(q)
-            fval = float(f(RotationMatrix(q)))
+        if (it + 1) % _REPROJECT_EVERY == 0:
+            rq = RotationMatrix(_project_rotation(rq.entries))
+            fval = float(f(rq))
     trace.reason = "max-iterations"
     return trace
 

@@ -7,6 +7,8 @@ corresponding unique-level difference are the same floating-point value)
 and makes the O(m^2) sums cheap for structured constellations.
 Each call, `compute_report` included, builds the multiset once; every
 rational pair sum, the optimizers' too, goes through `pair_sum_rational`.
+Nothing here is random: the fade-conditioned bounds `r0_conditional` and
+`r0_expected_mc` live in `channel`, which owns the fading model.
 """
 
 from __future__ import annotations
@@ -127,51 +129,6 @@ def cutoff_rate(x: Constellation, ch: ChannelSpec) -> float:
     """Closed-form cutoff rate of the constellation, in bits."""
     z, counts = difference_multiset(x.points)
     return rate_from_pair_sum(x.q_bits, pair_sum_rational(z, counts, ch.N0))
-
-
-def r0_conditional(x: Constellation, h: np.ndarray, ch: ChannelSpec) -> float:
-    """Cutoff-rate bound conditioned on a fixed fade vector h, in bits."""
-    h = np.asarray(h, dtype=float)
-    if h.shape != (x.n,) or np.any(h < 0):
-        raise ValueError("fade vector must have n non-negative entries")
-    z, counts = difference_multiset(x.points)
-    s = float(
-        np.dot(
-            counts.astype(float),
-            np.exp(-(z**2) @ (h**2) / (8.0 * ch.N0)),
-        )
-    )
-    return rate_from_pair_sum(x.q_bits, s)
-
-
-def r0_expected_mc(
-    x: Constellation, ch: ChannelSpec, num_channels: int, seed: int
-) -> tuple[float, float]:
-    """Monte Carlo mean of the conditional bound over i.i.d. Rayleigh fades.
-
-    Fades have E[h^2] = 1.  Returns (mean, standard error); deterministic
-    for a given seed.
-    """
-    if num_channels < 1:
-        raise ValueError("num_channels must be at least 1")
-    rng = np.random.default_rng(seed)
-    z, counts = difference_multiset(x.points)
-    zsq = z**2
-    cf = counts.astype(float)
-    q = x.q_bits
-    vals = np.empty(num_channels)
-    done = 0
-    chunk = max(1, min(num_channels, (1 << 24) // max(1, len(counts))))
-    while done < num_channels:
-        c = min(chunk, num_channels - done)
-        g = rng.normal(scale=np.sqrt(0.5), size=(c, x.n, 2))
-        hsq = np.sum(g**2, axis=2)  # squared Rayleigh fades
-        s = np.exp(-zsq @ hsq.T / (8.0 * ch.N0)).T @ cf
-        vals[done : done + c] = q - np.log2(1.0 + s / 2.0**q)
-        done += c
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / np.sqrt(num_channels)) if num_channels > 1 else 0.0
-    return mean, stderr
 
 
 def _within_radius(z: np.ndarray, r: float) -> np.ndarray | slice:

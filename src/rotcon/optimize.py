@@ -23,6 +23,9 @@ from .liegroup import (
 )
 from .metrics import ChannelSpec, difference_multiset, pair_sum_rational, rate_from_pair_sum
 
+_START_EPS = 1e-4  # off-diagonal size of the default descent start's generator
+_FD_STEP = 1e-6  # relative central-difference step of the NUQAM gradient
+
 
 @dataclass(frozen=True)
 class TSearchResult:
@@ -121,9 +124,9 @@ def _gradient_from_diffs(z, cf, q_bits, n0, qm):
     return scale * grad_s
 
 
-def default_start_rotation(n: int, eps: float = 1e-4) -> RotationMatrix:
-    """Small perturbation of the identity: exp(H), H constant +-eps off-diagonal."""
-    h = eps * (np.tri(n, k=-1) - np.tri(n, k=-1).T)
+def default_start_rotation(n: int) -> RotationMatrix:
+    """Small perturbation of the identity: exp(H), H constant +-_START_EPS off-diagonal."""
+    h = _START_EPS * (np.tri(n, k=-1) - np.tri(n, k=-1).T)
     return expm_skew(SkewMatrix(h))
 
 
@@ -183,13 +186,12 @@ def optimize_nuqam(
     init: NuqamParams | None = None,
     max_iters: int = 10000,
     grad_tol: float = 1e-7,
-    fd_step: float = 1e-6,
     restarts: int = 0,
     seed: int = 0,
 ) -> AlphaDescentResult:
     """Steepest ascent of the cutoff rate over the non-uniformity parameters.
 
-    Gradients are central finite differences with relative step fd_step; each
+    Gradients are central finite differences with relative step _FD_STEP; each
     iterate is projected back to positive ascending levels and renormalized
     to constellation energy q_bits.  With restarts > 0, that many perturbed
     initial points are also tried and the best outcome returned.
@@ -208,7 +210,7 @@ def optimize_nuqam(
         for it in range(1, max_iters + 1):
             grad = np.empty_like(a)
             for i in range(len(a)):
-                h = fd_step * max(abs(a[i]), 1.0)
+                h = _FD_STEP * max(abs(a[i]), 1.0)
                 ap, am = a.copy(), a.copy()
                 ap[i] += h
                 am[i] -= h

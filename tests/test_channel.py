@@ -11,7 +11,10 @@ from rotcon import (
     make_qam_product,
     ml_decode,
     normalize_energy,
+    rotate,
+    rotation_at,
     sample_fade,
+    skew_family,
     transmit,
 )
 from rotcon.channel import BerRow, FadeVector, wilson_interval
@@ -31,6 +34,13 @@ class TestSampleFade:
     def test_fade_vector_validation(self):
         with pytest.raises(ValueError):
             FadeVector(np.array([1.0, -0.5]))
+
+    def test_batch_equals_successive_single_draws(self):
+        batch = sample_fade((5, 4), np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        singles = np.stack([sample_fade(4, rng).h for _ in range(5)])
+        assert batch.h.shape == (5, 4)
+        assert np.array_equal(batch.h, singles)
 
 
 class TestTransmit:
@@ -68,6 +78,20 @@ class TestMlDecode:
         h = FadeVector(np.ones(2))
         assert ml_decode(x, np.zeros(2), h) == 0
 
+    def test_batch_matches_direct_argmin(self):
+        x = normalize_energy(make_qam_product(16, 2), 4.0)
+        x = rotate(x, rotation_at(skew_family(2), math.radians(30.0)))
+        rng = np.random.default_rng(5)
+        idx = rng.integers(0, x.m, size=2048)
+        h = sample_fade((2048, x.n), rng)
+        y = transmit(x.points[idx], h, ChannelSpec.from_ebn0_db(10.0), rng)
+        dec = ml_decode(x, y, h)
+        direct = np.argmin(np.sum((y[:, None, :] - h.h[:, None, :] * x.points) ** 2, axis=2),
+                           axis=1)
+        assert np.array_equal(dec, direct)
+        assert np.count_nonzero(dec != idx) > 0  # the check sees decoding errors
+        assert [ml_decode(x, y[i], FadeVector(h.h[i])) for i in range(len(y))] == dec.tolist()
+
 
 class TestWilson:
     def test_no_errors(self):
@@ -90,6 +114,16 @@ class TestBerMonteCarlo:
         a = ber_monte_carlo(x, specs, min_bits=10**4, seed=11)
         b = ber_monte_carlo(x, specs, min_bits=10**4, seed=11)
         assert a.rows == b.rows
+
+    def test_pinned_counts(self):
+        # pinned: a change to the draw order, the fade or noise arithmetic or
+        # the decision metric moves them; 2500 symbols per point span a full
+        # and a partial chunk
+        x = normalize_energy(make_qam_product(16, 2), 4.0)
+        x = rotate(x, rotation_at(skew_family(2), math.radians(30.0)))
+        rep = ber_monte_carlo(x, [ChannelSpec.from_ebn0_db(8.0), ChannelSpec.from_ebn0_db(12.0)],
+                              min_bits=20000, seed=5)
+        assert [(r.bit_errors, r.symbol_errors) for r in rep.rows] == [(3319, 1744), (1723, 1001)]
 
     def test_seed_changes_outcome(self):
         x = normalize_energy(make_qam_product(4, 1), 2.0)

@@ -95,6 +95,16 @@ class TestMetricsCommand:
         assert doc["q_bits"] == 2
         assert 0.0 <= doc["cutoff_rate"] <= 2.0
 
+    def test_single_value_commands_reject_an_ebn0_list(self, capsys):
+        # metrics, opt-rotation and opt-nuqam evaluate one Eb/N0; a list is a
+        # usage error, not a silent use of its first value
+        for argv in (["metrics", "--qam", "4"], ["opt-rotation", "--qam", "4"],
+                     ["opt-nuqam", "--q-bits", "4"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--ebn0-db", "8,12"])
+            assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestOptRotationCommand:
     def test_grid_mode(self, tmp_path, capsys):
@@ -150,6 +160,17 @@ class TestSweepCommand:
                      "--out", str(out)]) == 0
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert float(rows[0]["delta_R_bits"]) >= -1e-12
+
+    def test_compare_dimension_mismatch_is_input_error(self, tmp_path, capsys):
+        qpath = tmp_path / "q2.csv"
+        save_rotation_csv(rotation_at(skew_family(1), 0.3), qpath)
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--qam", "4", "--half-dims", "2", "--ebn0-db", "6,8",
+                "--grid-step-deg", "1.0", "--compare", str(qpath)]
+        assert main(argv + ["--out", str(out)]) == 3
+        assert not out.exists()
+        assert main(argv) == 3
+        assert capsys.readouterr().out == ""
 
 
 class TestBerCommand:

@@ -200,12 +200,31 @@ class TestGeodesicDescent:
         vals = [row[2] for row in trace.iterates]
         assert all(b <= a for a, b in zip(vals, vals[1:]))
 
-    def test_iterates_stay_on_manifold(self):
+    def test_iterates_stay_on_manifold(self, monkeypatch):
         target = rotation_at(skew_family(2), 0.8)
+        q0 = rotation_at(skew_family(2), 0.0)
         f, grad_f = self._alignment_problem(target)
-        trace = geodesic_descent(f, grad_f, rotation_at(skew_family(2), 0.0))
+        evals = validations = 0
+
+        def counted_f(q):
+            nonlocal evals
+            evals += 1
+            return f(q)
+
+        validate = RotationMatrix.__post_init__
+
+        def counted_validate(self):
+            nonlocal validations
+            validations += 1
+            validate(self)
+
+        monkeypatch.setattr(RotationMatrix, "__post_init__", counted_validate)
+        trace = geodesic_descent(counted_f, grad_f, q0)
         for _, q, _, _ in trace.iterates[:: max(1, len(trace.iterates) // 10)]:
             assert np.max(np.abs(q.entries @ q.entries.T - np.eye(4))) <= 1e-10
+        # each trial rotation is validated once and the accepted one is reused
+        assert len(trace.iterates) > 50  # a re-projection happened too
+        assert validations == evals
 
     def test_max_iterations_reason(self):
         target = rotation_at(skew_family(2), 1.1)
