@@ -80,11 +80,27 @@ def _build_constellation(args) -> Constellation:
             raise InputDataError(str(e)) from e
         x = rotate(x, q)
     elif args.rotate_t_deg is not None:
-        k = x.n.bit_length() - 1
-        if 2**k != x.n:
-            raise InputDataError("family rotation needs a power-of-two dimension")
+        k = _family_exponent(x.n)
         x = rotate(x, rotation_at(skew_family(k), math.radians(args.rotate_t_deg)))
     return x
+
+
+def _family_exponent(n: int) -> int:
+    """k with n = 2^k, n >= 2: the dimensions the rotation family exists in."""
+    k = n.bit_length() - 1
+    if n < 2 or 2**k != n:
+        raise InputDataError(f"family rotation needs a power-of-two dimension, got {n}")
+    return k
+
+
+def _grid_step_deg(arg: str) -> float:
+    try:
+        step = float(arg)
+    except ValueError:
+        step = math.nan
+    if not 0 < step <= 45:
+        raise argparse.ArgumentTypeError(f"{arg!r} is not a number in (0, 45]")
+    return step
 
 
 def _parse_radii(values) -> tuple[float, ...]:
@@ -173,9 +189,9 @@ def cmd_opt_rotation(args) -> int:
     x = _build_constellation(args)
     ch = ChannelSpec.from_ebn0_db(args.ebn0_db)
     if args.mode == "grid":
+        k = _family_exponent(x.n)
         res = grid_search_t(x, ch, grid_step=math.radians(args.grid_step_deg),
                             keep_profile=args.profile is not None)
-        k = x.n.bit_length() - 1
         q = rotation_at(skew_family(k), res.t_opt)
         if args.profile:
             with open(args.profile, "w", newline="") as fh:
@@ -214,6 +230,7 @@ def cmd_opt_nuqam(args) -> int:
 
 def cmd_sweep(args) -> int:
     x = _build_constellation(args)
+    _family_exponent(x.n)  # reject before the CSV header is written
     compare_q = None
     if args.compare:
         try:
@@ -285,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = common(sub.add_parser("opt-rotation", help="optimize the rotation"))
     sp.add_argument("--mode", choices=["grid", "manifold"], default="grid")
-    sp.add_argument("--grid-step-deg", type=float, default=0.0572958,
-                    help="grid resolution in degrees (default ~0.001 rad)")
+    sp.add_argument("--grid-step-deg", type=_grid_step_deg, default=0.0572958,
+                    help="grid resolution in degrees, in (0, 45] (default ~0.001 rad)")
     sp.add_argument("--profile", metavar="PATH", help="write the (t, R) profile CSV")
     sp.set_defaults(func=cmd_opt_rotation)
 
@@ -297,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_opt_nuqam)
 
     sp = common(sub.add_parser("sweep", help="t_opt and R across Eb/N0 values"), ebn0="list")
-    sp.add_argument("--grid-step-deg", type=float, default=0.0572958)
+    sp.add_argument("--grid-step-deg", type=_grid_step_deg, default=0.0572958,
+                    help="grid resolution in degrees, in (0, 45] (default ~0.001 rad)")
     sp.add_argument("--compare", metavar="CSV", help="rotation to compare against")
     sp.set_defaults(func=cmd_sweep)
 

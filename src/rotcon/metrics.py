@@ -13,6 +13,7 @@ Nothing here is random: the fade-conditioned bounds `r0_conditional` and
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,6 +25,8 @@ from .liegroup import RotationMatrix
 
 COORDINATE_TOL = 1e-9
 _MAX_COMPRESSED_KEYS = 1 << 22
+
+_log = logging.getLogger("rotcon")
 
 
 class EmptyBallWarning(UserWarning):
@@ -73,7 +76,8 @@ def difference_multiset(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (Z, counts) with Z of shape (u, n).  Coordinates of a difference
     are merged with the per-axis alphabet within 1e-12 relative, so the
     returned values agree with the raw pair differences up to float noise.
-    Falls back to the raw pair list when the alphabet is too large to index.
+    Falls back to the raw pair list when the alphabet is too large to index,
+    and says so at INFO on the "rotcon" logger.
     """
     pts = np.asarray(points, dtype=float)
     m, n = pts.shape
@@ -85,6 +89,8 @@ def difference_multiset(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if n_keys > _MAX_COMPRESSED_KEYS:
             break
     if n_keys > _MAX_COMPRESSED_KEYS:
+        _log.info("difference_multiset: raw-pair fallback for m=%d, n=%d: the alphabet "
+                  "needs at least %d keys (limit %d)", m, n, n_keys, _MAX_COMPRESSED_KEYS)
         z = (pts[:, None, :] - pts[None, :, :]).reshape(m * m, n)
         keep = ~np.eye(m, dtype=bool).reshape(-1)
         return z[keep], np.ones(keep.sum(), dtype=np.int64)

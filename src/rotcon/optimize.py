@@ -68,6 +68,28 @@ def g_of_t(n: int, ch: ChannelSpec, t: float) -> float:
     return (1.0 + c2 / (2.0 * ch.N0)) * (1.0 + s2 / ((n - 1) * 2.0 * ch.N0)) ** (n - 1)
 
 
+def _t_invariant_classes(z, counts, a):
+    """Merge the differences whose family terms agree at every t.
+
+    The term of z at t is a product over i of a function of
+    (cos(t) z_i + sin(t) (Az)_i)^2, so it depends only on the multiset of
+    coordinate pairs (z_i, (Az)_i), each taken up to sign.  Rows with the
+    same such multiset (quantized at 2^-44 of max|z|, tighter than the
+    merge in `difference_multiset`) form one class.  Returns one row of z
+    and of Az per class and the summed counts.
+    """
+    za = z @ a.T
+    scale = 2.0**44 / float(np.max(np.abs(z)))
+    p = np.empty(z.shape, dtype=complex)
+    p.real = np.rint(z * scale)
+    p.imag = np.rint(za * scale)
+    p[(p.real < 0) | ((p.real == 0) & (p.imag < 0))] *= -1
+    p.sort(axis=1)  # complex values sort by real part, then imaginary part
+    _, first, inv = np.unique(p.view(float), axis=0, return_index=True, return_inverse=True)
+    # the shape of inv differs between NumPy versions
+    return z[first], za[first], np.bincount(inv.reshape(-1), weights=counts)
+
+
 def grid_search_t(
     x: Constellation,
     ch: ChannelSpec,
@@ -77,7 +99,9 @@ def grid_search_t(
     """Maximize the cutoff rate of the rotated constellation over t in [0, pi/2].
 
     Evaluates R(Q(t) X) on the uniform grid; ties break toward smaller t.
-    The pair-difference multiset is computed once and rotated per sample.
+    The pair-difference multiset is computed once and merged into classes
+    whose terms are equal at every t (`_t_invariant_classes`); each sample
+    rotates one row per class, weighted by the class count.
     """
     k = _power_of_two_exponent(x.n)
     if not 0 < grid_step <= math.pi / 4:
@@ -85,9 +109,7 @@ def grid_search_t(
     z, counts = difference_multiset(x.points)
     if len(z) == 0:
         raise ValueError("degenerate constellation: no distinct pairs")
-    a = skew_family(k).A.entries
-    za = z @ a.T
-    cf = counts.astype(float)
+    z, za, cf = _t_invariant_classes(z, counts, skew_family(k).A.entries)
     q = x.q_bits
 
     ts = np.arange(0.0, math.pi / 2 + grid_step / 2, grid_step)

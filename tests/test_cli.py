@@ -123,6 +123,21 @@ class TestOptRotationCommand:
         # either side of pi/2 by one ulp
         assert len(rows) in (91, 92)
 
+    def test_grid_mode_needs_a_power_of_two_dimension(self, capsys):
+        argv = ["opt-rotation", "--qam", "4", "--half-dims", "3", "--ebn0-db", "8"]
+        assert main(argv) == 3
+        assert main(argv + ["--mode", "grid"]) == 3
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", ["opt-rotation", "sweep"])
+    def test_grid_step_outside_range_is_usage_error(self, command, capsys):
+        for step in ("0", "-1", "45.5", "nan", "one"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--qam", "4", "--ebn0-db", "8", "--grid-step-deg", step])
+            assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert main([command, "--qam", "4", "--ebn0-db", "8", "--grid-step-deg", "45"]) == 0
+
     def test_manifold_mode(self, capsys):
         assert main(["opt-rotation", "--qam", "4", "--ebn0-db", "8",
                      "--mode", "manifold"]) == 0
@@ -167,6 +182,14 @@ class TestSweepCommand:
         out = tmp_path / "sweep.csv"
         argv = ["sweep", "--qam", "4", "--half-dims", "2", "--ebn0-db", "6,8",
                 "--grid-step-deg", "1.0", "--compare", str(qpath)]
+        assert main(argv + ["--out", str(out)]) == 3
+        assert not out.exists()
+        assert main(argv) == 3
+        assert capsys.readouterr().out == ""
+
+    def test_non_power_of_two_dimension_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--qam", "4", "--half-dims", "3", "--ebn0-db", "8"]
         assert main(argv + ["--out", str(out)]) == 3
         assert not out.exists()
         assert main(argv) == 3

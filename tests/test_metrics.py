@@ -1,5 +1,6 @@
 """Tests for rate, diversity, and distance functionals against naive oracles."""
 
+import logging
 import math
 import warnings
 
@@ -65,6 +66,18 @@ class TestDifferenceMultiset:
         assert pair_sum_rational(z, counts, n0) == pytest.approx(
             naive_pair_sum(x.points, n0), rel=1e-12
         )
+
+    def test_raw_fallback_is_logged(self, rng, caplog):
+        # an INFO record on the "rotcon" logger, not a warning
+        x = random_constellation(rng, 16, 4)
+        with caplog.at_level(logging.INFO, logger="rotcon"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z, _ = difference_multiset(x.points)
+            difference_multiset(make_qam_product(16, 2).points)  # compressed: no record
+        assert len(z) == x.m * (x.m - 1)
+        records = [r for r in caplog.records if r.name == "rotcon"]
+        assert [r.levelno for r in records] == [logging.INFO]
+        assert "m=16, n=4" in records[0].getMessage()
 
     def test_survives_scaling_noise(self):
         # scaled grids must still collapse to the small difference alphabet

@@ -7,11 +7,13 @@ import pytest
 
 from rotcon import (
     ChannelSpec,
+    NuqamParams,
     cutoff_rate,
     cutoff_rate_gradient,
     g_of_t,
     grid_search_t,
     low_snr_optimal_t,
+    make_nuqam,
     make_qam_product,
     normalize_energy,
     optimize_nuqam,
@@ -20,7 +22,9 @@ from rotcon import (
     rotation_at,
     skew_family,
 )
+from rotcon import optimize
 from rotcon.liegroup import RotationMatrix, SkewMatrix, expm_skew
+from rotcon.metrics import pair_sum_rational
 from rotcon.optimize import default_nuqam_init, default_start_rotation
 
 from conftest import random_constellation
@@ -85,6 +89,43 @@ class TestGridSearch:
         ch = ChannelSpec.from_ebn0_db(5.0)
         with pytest.raises(ValueError):
             grid_search_t(normalize_energy(make_qam_product(4, 1), 2.0), ch, grid_step=0.0)
+
+    @pytest.mark.parametrize("name", ["16qam4d", "4qam8d", "nuqam16", "rand2d", "rand4d",
+                                      "rand8d"])
+    def test_profile_matches_rotated_cutoff_rate(self, name):
+        # the class-merged sum must give the rate of the rotated points at every t
+        x = {
+            "16qam4d": lambda: normalize_energy(make_qam_product(16, 2), 8.0),
+            "4qam8d": lambda: normalize_energy(make_qam_product(4, 4), 8.0),
+            "nuqam16": lambda: normalize_energy(make_nuqam(NuqamParams((0.7, 2.9))), 4.0),
+            "rand2d": lambda: random_constellation(np.random.default_rng(2), 16, 2),
+            "rand4d": lambda: random_constellation(np.random.default_rng(4), 16, 4),
+            "rand8d": lambda: random_constellation(np.random.default_rng(8), 16, 8),
+        }[name]()
+        ch = ChannelSpec.from_ebn0_db(9.0)
+        fam = skew_family(x.n.bit_length() - 1)
+        res = grid_search_t(x, ch, grid_step=1e-2, keep_profile=True)
+        ts = [t for t, _ in res.profile]
+        oracle = [cutoff_rate(rotate(x, rotation_at(fam, t)), ch) for t in ts]
+        np.testing.assert_allclose([r for _, r in res.profile], oracle, rtol=1e-12, atol=0)
+        # ties go to the smaller t, on the profile and on the oracle
+        assert res.t_opt == ts[int(np.argmax([r for _, r in res.profile]))]
+        assert res.t_opt == ts[int(np.argmax(oracle))]
+
+    @pytest.mark.parametrize("m_axis, half_dims, classes", [(16, 2, 116), (4, 4, 33)])
+    def test_kernel_sees_one_row_per_class(self, monkeypatch, m_axis, half_dims, classes):
+        seen = []
+
+        def counting(z, counts, n0):
+            seen.append((len(z), float(np.sum(counts))))
+            return pair_sum_rational(z, counts, n0)
+
+        monkeypatch.setattr(optimize, "pair_sum_rational", counting)
+        x = normalize_energy(make_qam_product(m_axis, half_dims), 8.0)
+        res = grid_search_t(x, ChannelSpec.from_ebn0_db(8.0), grid_step=0.05,
+                            keep_profile=True)
+        assert len(seen) == len(res.profile)
+        assert set(seen) == {(classes, float(x.m * (x.m - 1)))}
 
 
 class TestGradient:
