@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import Constellation
-from .metrics import ChannelSpec, difference_multiset, rate_from_pair_sum
+from .metrics import ChannelSpec, rate_from_pair_sum
 
 _CHUNK_SYMBOLS = 2048
 
@@ -131,7 +131,7 @@ def r0_conditional(x: Constellation, h: np.ndarray, ch: ChannelSpec) -> float:
     h = FadeVector(h).h
     if h.shape != (x.n,):
         raise ValueError("fade vector must have n non-negative entries")
-    z, counts = difference_multiset(x.points)
+    z, counts = x.pair_differences
     s = _exp_pair_sums(z**2, counts.astype(float), h[None, :] ** 2, ch.N0)
     return rate_from_pair_sum(x.q_bits, float(s[0]))
 
@@ -147,7 +147,7 @@ def r0_expected_mc(
     if num_channels < 1:
         raise ValueError("num_channels must be at least 1")
     rng = np.random.default_rng(seed)
-    z, counts = difference_multiset(x.points)
+    z, counts = x.pair_differences
     zsq, cf = z**2, counts.astype(float)
     q = x.q_bits
     vals = np.empty(num_channels)

@@ -1,14 +1,16 @@
 """Finite constellations in R^n: QAM products, non-uniform QAM, and I/O.
 
 A constellation is a set of m = 2^q distinct points, optionally carrying a
-Gray bit labeling, with its average energy cached.  All operations return
-new values; instances are treated as immutable.
+Gray bit labeling.  All operations return new values; instances are
+immutable and their points read-only, so each caches its pair-difference
+multiset on first use.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +27,7 @@ class Constellation:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float)  # a copy: the caller's array stays writeable
         if pts.ndim != 2:
             raise ValueError("points must be an m x n array")
         m = pts.shape[0]
@@ -41,6 +43,7 @@ class Constellation:
             if any(len(b) != q or set(b) - {"0", "1"} for b in labels):
                 raise ValueError(f"labels must be {q}-bit binary strings")
             object.__setattr__(self, "labels", labels)
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     @staticmethod
@@ -64,6 +67,24 @@ class Constellation:
     def energy(self) -> float:
         """Average squared norm of the points."""
         return float(np.mean(np.sum(self.points**2, axis=1)))
+
+    @cached_property
+    def pair_differences(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (Z, counts) of `metrics.difference_multiset`, built on first use.
+
+        A constellation made by `rotate` rotates its parent's set instead:
+        z @ Q^T, the expression `rotate` applies to the points, same counts.
+        """
+        if "_rotated_from" in vars(self):
+            x, q = vars(self).pop("_rotated_from")
+            z, counts = x.pair_differences
+            z = z @ q.entries.T
+        else:
+            from .metrics import difference_multiset
+
+            z, counts = difference_multiset(self.points)
+        z.flags.writeable = counts.flags.writeable = False
+        return z, counts
 
 
 @dataclass(frozen=True)
@@ -144,7 +165,9 @@ def rotate(x: Constellation, q: RotationMatrix) -> Constellation:
     """Apply a rotation to every point; labels carry over unchanged."""
     if q.n != x.n:
         raise ValueError(f"rotation is {q.n}-dimensional, constellation is {x.n}")
-    return Constellation(x.points @ q.entries.T, x.labels)
+    y = Constellation(x.points @ q.entries.T, x.labels)
+    object.__setattr__(y, "_rotated_from", (x, q))  # see Constellation.pair_differences
+    return y
 
 
 def save(x: Constellation, path) -> None:

@@ -1,12 +1,13 @@
 """Rate, diversity, and distance functionals of a constellation.
 
-All pair sums run over ordered pairs (x, y), x != y.  Internally the m^2
-pairs are compressed to the multiset of distinct difference vectors with
-multiplicities, which is exact (coordinates of a pair difference and of the
-corresponding unique-level difference are the same floating-point value)
-and makes the O(m^2) sums cheap for structured constellations.
-Each call, `compute_report` included, builds the multiset once; every
-rational pair sum, the optimizers' too, goes through `pair_sum_rational`.
+All pair sums run over ordered pairs (x, y), x != y, through the multiset of
+distinct difference vectors with multiplicities that each constellation
+carries (`Constellation.pair_differences`).  `difference_multiset` builds it
+once per constellation: a Cartesian product of axis levels (QAM, NUQAM)
+gives the product of its small axis multisets, other point sets their raw
+pairs.  A rotated constellation rotates its parent's set instead of
+building one.  Every rational pair sum, the optimizers' too, goes through
+`pair_sum_rational`.
 Nothing here is random: the fade-conditioned bounds `r0_conditional` and
 `r0_expected_mc` live in `channel`, which owns the fading model.
 """
@@ -24,7 +25,7 @@ from .constellation import Constellation
 from .liegroup import RotationMatrix
 
 COORDINATE_TOL = 1e-9
-_MAX_COMPRESSED_KEYS = 1 << 22
+_RAW_PAIR_BYTES = 1 << 30
 
 _log = logging.getLogger("rotcon")
 
@@ -50,75 +51,55 @@ class ChannelSpec:
         return cls(N0=10.0 ** (-db / 10.0), ebn0_db=db)
 
 
-def _axis_alphabet(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted level differences with float-noise duplicates merged.
+def _axis_multiset(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Distinct level differences a - b of one axis, their counts, and the index of 0.
 
-    Returns (dv, gid, reps): the full sorted difference alphabet, the group
-    index of each entry (entries within 1e-12 relative of each other share a
-    group), and one representative value per group.  Exact zero keeps the
-    representative 0.0 so the self-pair key is well defined.
+    Differences within 1e-12 relative of each other (float noise of scaled
+    levels) merge into one, represented by its smallest member, or by
+    exactly 0.0 for the one that holds the pairs a = b.
     """
-    dv = np.unique(levels[:, None] - levels[None, :])
-    tol = 1e-12 * float(np.max(np.abs(dv))) if len(dv) > 1 else 0.0
-    gid = np.zeros(len(dv), dtype=np.int64)
-    if len(dv) > 1:
-        gid[1:] = np.cumsum(np.diff(dv) > tol)
-    first = np.searchsorted(gid, np.arange(gid[-1] + 1))
-    reps = dv[first]
-    zi = np.searchsorted(dv, 0.0)
-    reps[gid[zi]] = 0.0  # dv always contains the exact zero of x - x
-    return dv, gid, reps
+    dv, inv = np.unique(levels[:, None] - levels[None, :], return_inverse=True)
+    gid = np.concatenate([[0], np.cumsum(np.diff(dv) > 1e-12 * float(np.max(np.abs(dv))))])
+    reps = dv[np.searchsorted(gid, np.arange(gid[-1] + 1))]
+    zero = int(gid[np.searchsorted(dv, 0.0)])
+    reps[zero] = 0.0
+    return reps, np.bincount(gid[inv.reshape(-1)]), zero
 
 
 def difference_multiset(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct nonzero ordered-pair differences x - y with multiplicities.
 
-    Returns (Z, counts) with Z of shape (u, n).  Coordinates of a difference
-    are merged with the per-axis alphabet within 1e-12 relative, so the
-    returned values agree with the raw pair differences up to float noise.
-    Falls back to the raw pair list when the alphabet is too large to index,
-    and says so at INFO on the "rotcon" logger.
+    Returns (Z, counts) with Z of shape (u, n).  When the points are the full
+    Cartesian product of their per-axis levels, Z is the product of the axis
+    multisets, whose coordinates are merged within 1e-12 relative, so the
+    values agree with the raw pair differences up to float noise.  Any other
+    point set gives its m(m - 1) raw pairs, says so at INFO on the "rotcon"
+    logger, and raises ValueError if they would take more than 1 GiB
+    (`_RAW_PAIR_BYTES`).
     """
     pts = np.asarray(points, dtype=float)
     m, n = pts.shape
-    alphabets = []
-    n_keys = 1
-    for i in range(n):
-        alphabets.append(_axis_alphabet(np.unique(pts[:, i])))
-        n_keys *= len(alphabets[-1][2])
-        if n_keys > _MAX_COMPRESSED_KEYS:
-            break
-    if n_keys > _MAX_COMPRESSED_KEYS:
-        _log.info("difference_multiset: raw-pair fallback for m=%d, n=%d: the alphabet "
-                  "needs at least %d keys (limit %d)", m, n, n_keys, _MAX_COMPRESSED_KEYS)
-        z = (pts[:, None, :] - pts[None, :, :]).reshape(m * m, n)
-        keep = ~np.eye(m, dtype=bool).reshape(-1)
-        return z[keep], np.ones(keep.sum(), dtype=np.int64)
+    levels = [np.unique(pts[:, i]) for i in range(n)]
+    if math.prod(len(v) for v in levels) != m:
+        need = m * m * (16 * n + 9)  # the m^2 x n differences, their copy and counts
+        if need > _RAW_PAIR_BYTES:
+            raise ValueError(f"the raw pair differences of m={m} points in n={n} "
+                             f"dimensions need about {need} bytes "
+                             f"(limit {_RAW_PAIR_BYTES})")
+        _log.info("difference_multiset: raw pairs for m=%d, n=%d: the points are not "
+                  "a Cartesian product of their axis levels", m, n)
+        z = (pts[:, None, :] - pts[None, :, :])[~np.eye(m, dtype=bool)]
+        return z, np.ones(len(z), dtype=np.int64)
 
-    strides = np.ones(n, dtype=np.int64)
-    for i in range(n - 2, -1, -1):
-        strides[i] = strides[i + 1] * len(alphabets[i + 1][2])
-    counts = np.zeros(n_keys, dtype=np.int64)
-    chunk = max(1, (1 << 22) // (m * n))
-    for lo in range(0, m, chunk):
-        d = pts[lo : lo + chunk, None, :] - pts[None, :, :]
-        keys = np.zeros(d.shape[:2], dtype=np.int64)
-        for i, (dv, gid, _) in enumerate(alphabets):
-            keys += strides[i] * gid[np.searchsorted(dv, d[:, :, i])]
-        counts += np.bincount(keys.reshape(-1), minlength=n_keys)
-
-    zero_key = sum(
-        int(strides[i]) * int(gid[np.searchsorted(dv, 0.0)])
-        for i, (dv, gid, _) in enumerate(alphabets)
-    )
-    counts[zero_key] -= m  # drop the x = y pairs
-    keys = np.nonzero(counts)[0]
-    z = np.empty((len(keys), n))
-    rem = keys.copy()
-    for i in range(n):
-        z[:, i] = alphabets[i][2][rem // strides[i]]
-        rem = rem % strides[i]
-    return z, counts[keys]
+    # zero: the row of the all-zero difference, that of the m pairs x = y
+    z, counts, zero = np.empty((1, 0)), np.ones(1, dtype=np.int64), 0
+    for lv in levels:
+        reps, c, zi = _axis_multiset(lv)
+        k = len(reps)
+        z = np.column_stack([np.repeat(z, k, axis=0), np.tile(reps, len(z))])
+        counts = np.outer(counts, c).reshape(-1)
+        zero = zero * k + zi
+    return np.delete(z, zero, axis=0), np.delete(counts, zero)
 
 
 def pair_sum_rational(z: np.ndarray, counts: np.ndarray, n0: float) -> float:
@@ -133,7 +114,7 @@ def rate_from_pair_sum(q_bits: int, s: float) -> float:
 
 def cutoff_rate(x: Constellation, ch: ChannelSpec) -> float:
     """Closed-form cutoff rate of the constellation, in bits."""
-    z, counts = difference_multiset(x.points)
+    z, counts = x.pair_differences
     return rate_from_pair_sum(x.q_bits, pair_sum_rational(z, counts, ch.N0))
 
 
@@ -147,27 +128,9 @@ def _within_radius(z: np.ndarray, r: float) -> np.ndarray | slice:
     return np.sum(z**2, axis=1) <= r * r * (1.0 + 1e-12)
 
 
-def _diversity(z: np.ndarray, r: float, n: int, coordinate_tol: float) -> int:
-    """Diversity order over the differences z within r; n for an empty ball."""
-    if len(z) == 0:
-        warnings.warn(f"no pair within radius {r}; empty-min convention", EmptyBallWarning)
-        return n
-    return int(np.min(np.sum(np.abs(z) > coordinate_tol, axis=1)))
-
-
-def _min_product(z: np.ndarray, r: float, n: int, coordinate_tol: float) -> tuple[float, float]:
-    """(d_p, d_p ** (1/n)) over the differences z within r; inf for an empty ball."""
-    if len(z) == 0:
-        warnings.warn(f"no pair within radius {r}; empty-min convention", EmptyBallWarning)
-        return math.inf, math.inf
-    az = np.abs(z)
-    dp = float(np.min(np.prod(np.where(az > coordinate_tol, az, 1.0), axis=1)))
-    return dp, dp ** (1.0 / n)
-
-
 def local_cutoff_rate(x: Constellation, r: float, ch: ChannelSpec) -> float:
     """Cutoff rate restricted to pairs within the closed ball of radius r."""
-    z, counts = difference_multiset(x.points)
+    z, counts = x.pair_differences
     keep = _within_radius(z, r)
     return rate_from_pair_sum(x.q_bits, pair_sum_rational(z[keep], counts[keep], ch.N0))
 
@@ -175,9 +138,13 @@ def local_cutoff_rate(x: Constellation, r: float, ch: ChannelSpec) -> float:
 def diversity_order(
     x: Constellation, r: float = math.inf, coordinate_tol: float = COORDINATE_TOL
 ) -> int:
-    """Minimum number of coordinates in which two points within r differ."""
-    z, _ = difference_multiset(x.points)
-    return _diversity(z[_within_radius(z, r)], r, x.n, coordinate_tol)
+    """Minimum number of coordinates in which two points within r differ; n for an empty ball."""
+    z, _ = x.pair_differences
+    z = z[_within_radius(z, r)]
+    if len(z) == 0:
+        warnings.warn(f"no pair within radius {r}; empty-min convention", EmptyBallWarning)
+        return x.n
+    return int(np.min(np.sum(np.abs(z) > coordinate_tol, axis=1)))
 
 
 def min_product_distance(
@@ -185,17 +152,23 @@ def min_product_distance(
 ) -> tuple[float, float]:
     """Minimum product of nonzero coordinate differences over pairs within r.
 
-    Returns (d_p, d_p ** (1/n)), the raw and dimension-normalized values.
+    Returns (d_p, d_p ** (1/n)), the raw and dimension-normalized values;
+    inf for an empty ball.
     """
-    z, _ = difference_multiset(x.points)
-    return _min_product(z[_within_radius(z, r)], r, x.n, coordinate_tol)
+    z, _ = x.pair_differences
+    az = np.abs(z[_within_radius(z, r)])
+    if len(az) == 0:
+        warnings.warn(f"no pair within radius {r}; empty-min convention", EmptyBallWarning)
+        return math.inf, math.inf
+    dp = float(np.min(np.prod(np.where(az > coordinate_tol, az, 1.0), axis=1)))
+    return dp, dp ** (1.0 / x.n)
 
 
 def high_snr_sum(
     x: Constellation, ch: ChannelSpec, coordinate_tol: float = COORDINATE_TOL
 ) -> float:
     """High-SNR approximation of the pair sum: products of 8 N0 / (x_i - y_i)^2."""
-    z, counts = difference_multiset(x.points)
+    z, counts = x.pair_differences
     zsq = z**2
     terms = np.where(np.abs(z) > coordinate_tol, 8.0 * ch.N0 / np.where(zsq > 0, zsq, 1.0), 1.0)
     return float(np.dot(counts.astype(float), np.prod(terms, axis=1)))
@@ -248,19 +221,16 @@ def compute_report(
     radii: tuple[float, ...] = (2.0, math.inf),
     coordinate_tol: float = COORDINATE_TOL,
 ) -> MetricsReport:
-    """Evaluate every metric at each requested radius from one multiset."""
-    z, counts = difference_multiset(x.points)
+    """Evaluate every metric at each requested radius from the one cached multiset."""
     local_r, div, mp, mpn = {}, {}, {}, {}
     for r in radii:
-        keep = _within_radius(z, r)
-        zr = z[keep]
-        local_r[r] = rate_from_pair_sum(x.q_bits, pair_sum_rational(zr, counts[keep], ch.N0))
-        div[r] = _diversity(zr, r, x.n, coordinate_tol)
-        mp[r], mpn[r] = _min_product(zr, r, x.n, coordinate_tol)
+        local_r[r] = local_cutoff_rate(x, r, ch)
+        div[r] = diversity_order(x, r, coordinate_tol)
+        mp[r], mpn[r] = min_product_distance(x, r, coordinate_tol)
     return MetricsReport(
         q_bits=x.q_bits,
         n=x.n,
-        cutoff_rate=rate_from_pair_sum(x.q_bits, pair_sum_rational(z, counts, ch.N0)),
+        cutoff_rate=cutoff_rate(x, ch),
         radii=list(radii),
         local_cutoff_rate=local_r,
         diversity=div,

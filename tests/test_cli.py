@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from rotcon import make_qam_product, normalize_energy, rotation_at, skew_family
+from rotcon import Constellation, make_qam_product, normalize_energy, rotation_at, skew_family
 from rotcon.cli import main
 from rotcon.constellation import save
 from rotcon.liegroup import save_rotation_csv
@@ -220,3 +220,10 @@ class TestFileRoundtrip:
         assert main(["metrics", "--file", str(path), "--no-normalize",
                      "--ebn0-db", "8", "--out", str(out)]) == 0
         assert "local_cutoff_rate" in out.read_text().splitlines()[0]
+
+    def test_raw_pairs_over_the_byte_budget_exit_4(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "x.json"
+        save(Constellation(np.random.default_rng(0).normal(size=(16, 2))), path)
+        monkeypatch.setattr("rotcon.metrics._RAW_PAIR_BYTES", 1000)
+        assert main(["metrics", "--file", str(path), "--ebn0-db", "8"]) == 4
+        assert "m=16" in capsys.readouterr().err

@@ -21,6 +21,16 @@ from rotcon import (
 from rotcon.constellation import load, qam_levels, save, save_points_csv
 
 
+class TestReadOnlyPoints:
+    def test_points_are_locked_and_the_input_is_not(self):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0]])
+        x = Constellation(pts)
+        with pytest.raises(ValueError):
+            x.points[0, 0] = 0.0
+        pts[0, 0] = 5.0  # the caller's array stays writeable, and is not shared
+        assert x.points[0, 0] == 0.0
+
+
 class TestQamLevels:
     def test_levels(self):
         assert qam_levels(4).tolist() == [-1.0, 1.0]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from rotcon import (
     ChannelSpec,
+    Constellation,
     cutoff_rate,
     diversity_order,
     high_snr_sum,
@@ -25,7 +26,9 @@ from rotcon import (
     rotation_at,
     skew_family,
 )
+from rotcon.liegroup import SkewMatrix, expm_skew
 from rotcon.metrics import (
+    COORDINATE_TOL,
     EmptyBallWarning,
     compute_report,
     difference_multiset,
@@ -95,6 +98,50 @@ class TestDifferenceMultiset:
         assert np.array_equal(counts[order], cneg[order2])
 
 
+class TestPairDifferenceCache:
+    def test_cached_arrays_are_read_only(self):
+        z, counts = make_qam_product(4, 1).pair_differences
+        assert not z.flags.writeable and not counts.flags.writeable
+
+    def test_children_never_return_the_parent_set(self):
+        x = normalize_energy(make_qam_product(16, 1), 4.0)
+        z, counts = x.pair_differences
+        children = (rotate(x, rotation_at(skew_family(1), 0.0)), normalize_energy(x, 4.0))
+        for child in children:
+            zc, cc = child.pair_differences
+            assert zc is not z and not np.shares_memory(zc, z)
+            assert np.allclose(zc, z, rtol=0, atol=1e-15) and np.array_equal(cc, counts)
+        assert x.pair_differences[0] is z
+
+    @given(st.lists(st.integers(0, 2), min_size=1, max_size=4).filter(lambda e: 0 < sum(e) <= 5),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_products_and_their_rotations_match_naive_oracles(self, log_levels, seed):
+        rng = np.random.default_rng(seed)
+        axes = [rng.uniform(0.1, 3.0, size=2**e) for e in log_levels]
+        n = len(axes)
+        x = Constellation(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n))
+        s = rng.normal(size=(n, n))
+        ch = ChannelSpec(float(rng.uniform(0.05, 1.0)))
+        for y in (x, rotate(x, expm_skew(SkewMatrix(s - s.T)))):
+            z, counts = y.pair_differences
+            assert counts.sum() == y.m * (y.m - 1)
+            assert cutoff_rate(y, ch) == pytest.approx(
+                naive_cutoff_rate(y.points, y.q_bits, ch.N0), rel=1e-12)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", EmptyBallWarning)
+                assert local_cutoff_rate(y, 2.0, ch) == pytest.approx(
+                    naive_local_cutoff_rate(y.points, y.q_bits, 2.0, ch.N0), rel=1e-12)
+            assert diversity_order(y) == naive_diversity(y.points, math.inf)
+            # both sides get each coordinate to a few ulps of the largest one, so
+            # a coordinate kappa times smaller that the product picks up carries
+            # kappa times that relative error
+            az = np.abs(z)
+            kappa = az.max() / az[az > COORDINATE_TOL].min()
+            assert min_product_distance(y)[0] == pytest.approx(
+                naive_min_product_distance(y.points, math.inf), rel=max(1e-12, 1e-15 * kappa))
+
+
 class TestCutoffRate:
     def test_frozen_2d_4qam_at_10db(self):
         x = normalize_energy(make_qam_product(4, 1), 2.0)
@@ -142,6 +189,21 @@ class TestConditionalRate:
         r = r0_conditional(x, np.zeros(2), ChannelSpec.from_ebn0_db(6.0))
         assert r == pytest.approx(0.0, abs=1e-12)
 
+    def test_rotated_16qam_4d_matches_double_loop(self):
+        x = rotate(normalize_energy(make_qam_product(16, 2), 8.0),
+                   rotation_at(skew_family(2), 0.5))
+        h = np.array([0.3, 1.1, 0.7, 1.6])
+        ch = ChannelSpec.from_ebn0_db(8.0)
+        pts, hsq = x.points.tolist(), (h**2).tolist()
+        s = 0.0
+        for i, a in enumerate(pts):
+            for j, b in enumerate(pts):
+                if i != j:
+                    d2 = sum(g * (ak - bk) ** 2 for g, ak, bk in zip(hsq, a, b))
+                    s += math.exp(-d2 / (8.0 * ch.N0))
+        want = x.q_bits - math.log2(1.0 + s / 2.0**x.q_bits)
+        assert r0_conditional(x, h, ch) == pytest.approx(want, rel=1e-12)
+
     def test_rejects_bad_fade(self):
         x = make_qam_product(4, 1)
         ch = ChannelSpec.from_ebn0_db(5.0)
@@ -165,6 +227,13 @@ class TestExpectedRateMc:
         ch = ChannelSpec.from_ebn0_db(8.0)
         mean, stderr = r0_expected_mc(x, ch, 10**4, seed=0)
         assert mean >= cutoff_rate(x, ch) - 3.0 * stderr
+
+    def test_rotated_64qam_4d_carries_the_product_set(self):
+        x = rotate(normalize_energy(make_qam_product(64, 2), 12.0),
+                   rotation_at(skew_family(2), math.radians(30.0)))
+        z, counts = x.pair_differences
+        assert len(z) == 15**4 - 1  # not the 4096 * 4095 raw pairs
+        assert counts.sum() == x.m * (x.m - 1)
 
     def test_rejects_empty_run(self):
         x = make_qam_product(4, 1)
@@ -309,11 +378,14 @@ class TestReport:
             assert rep.diversity[r] == alone[r][1]
             assert (rep.min_product[r], rep.min_product_normalized[r]) == alone[r][2]
 
-        # one multiset build per report, whatever the number of radii
+        # one multiset build per report, whatever the number of radii: that of
+        # the unrotated parent, whose set a fresh rotated constellation carries
         calls = []
         build = difference_multiset
         monkeypatch.setattr("rotcon.metrics.difference_multiset",
                             lambda points: calls.append(1) or build(points))
+        xr = rotate(normalize_energy(make_qam_product(16, 1), 4.0),
+                    rotation_at(skew_family(1), 0.4))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EmptyBallWarning)
             compute_report(xr, ch, radii=radii)
