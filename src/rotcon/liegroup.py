@@ -181,8 +181,7 @@ def _project_rotation(q: np.ndarray) -> np.ndarray:
 
 
 def geodesic_descent(
-    f,
-    grad_f,
+    f_and_grad,
     q0: RotationMatrix,
     step: float = 0.1,
     max_iters: int = 5000,
@@ -190,23 +189,23 @@ def geodesic_descent(
 ) -> DescentTrace:
     """Minimize f over SO(n) by the geodesic update Q <- exp(-h X_f(Q)) Q.
 
-    The Euclidean gradient callback grad_f(Q) returns an n x n matrix of
-    partials; it is translated to the skew field X_f(Q) each iteration.  The
-    step is halved whenever the move fails to decrease f, and restored after
-    an accepted step.  Terminates on gradient tolerance, iteration budget,
-    or step underflow below 1e-12.
+    f_and_grad(Q), called once per trial rotation, returns f(Q) and its n x n
+    Euclidean partials; those of the accepted trial become the skew field
+    X_f(Q) of the next iteration.  The step is halved whenever the move fails
+    to decrease f, and restored after an accepted step.  Terminates on
+    gradient tolerance, iteration budget, or step underflow below 1e-12.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     rq = RotationMatrix(q0.entries.copy())
-    fval = float(f(rq))
+    fval, g = f_and_grad(rq)
     if not np.isfinite(fval):
         raise ValueError("objective is not finite at the initial rotation")
 
     trace = DescentTrace()
     h = step
     for it in range(max_iters + 1):
-        xf = gradient_field(grad_f(rq), rq)
+        xf = gradient_field(g, rq)
         gnorm = float(np.linalg.norm(xf.entries))
         trace.iterates.append((it, rq, fval, gnorm))
         if gnorm <= grad_tol:
@@ -221,7 +220,7 @@ def geodesic_descent(
             if np.max(np.abs(q_new @ q_new.T - np.eye(rq.n))) > ORTHO_TOL:
                 q_new = _project_rotation(q_new)
             r_new = RotationMatrix(q_new)
-            f_new = float(f(r_new))
+            f_new, g_new = f_and_grad(r_new)
             if not np.isfinite(f_new):
                 raise ValueError("objective became non-finite during descent")
             if f_new < fval:
@@ -230,11 +229,11 @@ def geodesic_descent(
             if h < 1e-12:
                 trace.reason = "step-underflow"
                 return trace
-        rq, fval = r_new, f_new
+        rq, fval, g = r_new, f_new, g_new
         h = step
         if (it + 1) % _REPROJECT_EVERY == 0:
             rq = RotationMatrix(_project_rotation(rq.entries))
-            fval = float(f(rq))
+            fval, g = f_and_grad(rq)
     trace.reason = "max-iterations"
     return trace
 

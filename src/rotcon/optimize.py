@@ -21,12 +21,12 @@ from .liegroup import (
     geodesic_descent,
     skew_family,
 )
-from .metrics import ChannelSpec, pair_sum_rational, rate_from_pair_sum
+from .metrics import (ChannelSpec, cutoff_rate, pair_sum_rational, rate_from_pair_sum,
+                      rational_weights)
 # re-exported: the benchmark's tracer test patches and reads it here
 from .metrics import difference_multiset as difference_multiset
 
 _START_EPS = 1e-4  # off-diagonal size of the default descent start's generator
-_FD_STEP = 1e-6  # relative central-difference step of the NUQAM gradient
 
 
 @dataclass(frozen=True)
@@ -139,19 +139,18 @@ def cutoff_rate_gradient(x: Constellation, ch: ChannelSpec, q: RotationMatrix) -
     if q.n != x.n:
         raise ValueError("rotation and constellation dimensions disagree")
     z, counts = x.pair_differences
-    return _gradient_from_diffs(z, counts, x.q_bits, ch.N0, q.entries)
+    return _rate_and_gradient(z, counts, x.q_bits, ch.N0, q.entries)[1]
 
 
-def _gradient_from_diffs(z, cf, q_bits, n0, qm):
-    u = z @ qm.T
-    w = 1.0 / (1.0 + u**2 / (8.0 * n0))
-    t = cf * np.prod(w, axis=1)
-    # d(term)/du_a = term * (-w_a * u_a / (4 N0)); du_a/dq_ab = z_b
-    g = -(t[:, None] * w * u) / (4.0 * n0)
-    grad_s = g.T @ z
+def _rate_and_gradient(z, counts, q_bits, n0, qm):
+    """R(Q X) and its Euclidean gradient in the entries of Q, from one pass over the rows."""
+    u = (qm @ z.T).T  # z @ Q^T, stored by column (see rational_weights)
+    w, p = rational_weights(u, n0)
+    t = counts * p
     s = float(np.sum(t))
-    scale = -(2.0**-q_bits) / ((1.0 + 2.0**-q_bits * s) * math.log(2.0))
-    return scale * grad_s
+    # d(term)/du_a = -term * w_a * u_a / (4 N0), du_a/dq_ab = z_b, and dR/ds < 0
+    scale = 2.0**-q_bits / ((1.0 + 2.0**-q_bits * s) * math.log(2.0) * 4.0 * n0)
+    return rate_from_pair_sum(q_bits, s), scale * (((w * u) * t[:, None]).T @ z)
 
 
 def default_start_rotation(n: int) -> RotationMatrix:
@@ -175,16 +174,11 @@ def optimize_rotation_full(
     """
     if q0 is None:
         q0 = default_start_rotation(x.n)
-    z, counts = x.pair_differences
-    q_bits, n0 = x.q_bits, ch.N0
+    def f_and_grad(q: RotationMatrix) -> tuple[float, np.ndarray]:
+        r, g = _rate_and_gradient(*x.pair_differences, x.q_bits, ch.N0, q.entries)
+        return -r, -g
 
-    def f(q: RotationMatrix) -> float:
-        return -rate_from_pair_sum(q_bits, pair_sum_rational(z @ q.entries.T, counts, n0))
-
-    def grad_f(q: RotationMatrix) -> np.ndarray:
-        return -_gradient_from_diffs(z, counts, q_bits, n0, q.entries)
-
-    return geodesic_descent(f, grad_f, q0, step=step, max_iters=max_iters, grad_tol=grad_tol)
+    return geodesic_descent(f_and_grad, q0, step=step, max_iters=max_iters, grad_tol=grad_tol)
 
 
 def default_nuqam_init(q_bits: int) -> NuqamParams:
@@ -192,11 +186,27 @@ def default_nuqam_init(q_bits: int) -> NuqamParams:
     return NuqamParams(tuple(float(2 * i + 1) for i in range(2 ** (q_bits // 2 - 1))))
 
 
-def _nuqam_objective(alpha: np.ndarray, q_bits: int, ch: ChannelSpec) -> float:
-    from .metrics import cutoff_rate
+def _nuqam_rate_and_gradient(alpha: np.ndarray, q_bits: int, n0: float):
+    """Cutoff rate of `normalize_energy(make_nuqam(alpha), q_bits)` and its exact gradient.
 
-    x = make_nuqam(NuqamParams(tuple(alpha)))
-    return cutoff_rate(normalize_energy(x, float(q_bits)), ch)
+    The points are sl x sl, l = (-a_k..-a_1, a_1..a_k), s = sqrt(q_bits / E), E = 2 mean(a^2),
+    so the pair sum is T^2 - (2k)^2, T = 2k + V, V = sum_{i != j} w(s (l_i - l_j)): O(k^2).
+    """
+    a = np.asarray(alpha, dtype=float)
+    k, e = len(a), 2.0 * float(np.mean(a**2))
+    s = math.sqrt(q_bits / e)
+    lv = np.concatenate([-a[::-1], a])
+    u = s * (lv[:, None] - lv[None, :])
+    w = rational_weights(u.reshape(-1, 1), n0)[0].reshape(u.shape)
+    np.fill_diagonal(w, 0.0)
+    v = float(np.sum(w))
+    pair_sum = v * (4 * k + v)  # T^2 - (2k)^2, without cancellation
+    dw = -(u * w * w) / (4.0 * n0)  # dw/du, antisymmetric
+    gl = 2.0 * s * np.sum(dw, axis=1)  # dV/dl at fixed s
+    # a_r is l_{k+r} and -l_{k-1-r}; dV/ds = sum(dw u) / s, ds/da = -2 s a / (k E)
+    dv = gl[k:] - gl[k - 1::-1] - 2.0 * a * float(np.sum(dw * u)) / (k * e)
+    grad = -2.0 * (2 * k + v) * dv / ((2.0**q_bits + pair_sum) * math.log(2.0))
+    return rate_from_pair_sum(q_bits, pair_sum), grad
 
 
 def _project_alpha(alpha: np.ndarray, q_bits: int) -> np.ndarray:
@@ -220,10 +230,10 @@ def optimize_nuqam(
 ) -> AlphaDescentResult:
     """Steepest ascent of the cutoff rate over the non-uniformity parameters.
 
-    Gradients are central finite differences with relative step _FD_STEP; each
-    iterate is projected back to positive ascending levels and renormalized
-    to constellation energy q_bits.  With restarts > 0, that many perturbed
-    initial points are also tried and the best outcome returned.
+    Each trial costs one closed-form rate and exact gradient; each iterate is
+    projected back to positive ascending levels at energy q_bits, and the
+    objective is `cutoff_rate` of the result.  With restarts > 0, that many
+    perturbed initial points are also tried and the best outcome returned.
     """
     if q_bits not in (4, 6, 8, 10):
         raise ValueError("q_bits must be one of 4, 6, 8, 10")
@@ -232,37 +242,29 @@ def optimize_nuqam(
 
     def run(a0: np.ndarray) -> AlphaDescentResult:
         a = _project_alpha(a0, q_bits)
-        fval = _nuqam_objective(a, q_bits, ch)
+        fval, grad = _nuqam_rate_and_gradient(a, q_bits, ch.N0)
         step = 1.0
         reason = "max-iterations"
         it = 0
         for it in range(1, max_iters + 1):
-            grad = np.empty_like(a)
-            for i in range(len(a)):
-                h = _FD_STEP * max(abs(a[i]), 1.0)
-                ap, am = a.copy(), a.copy()
-                ap[i] += h
-                am[i] -= h
-                grad[i] = (
-                    _nuqam_objective(ap, q_bits, ch) - _nuqam_objective(am, q_bits, ch)
-                ) / (2 * h)
             if np.linalg.norm(grad) < grad_tol:
                 reason = "gradient-tolerance"
                 break
             while step >= 1e-14:
                 a_new = _project_alpha(a + step * grad, q_bits)
-                f_new = _nuqam_objective(a_new, q_bits, ch)
+                f_new, g_new = _nuqam_rate_and_gradient(a_new, q_bits, ch.N0)
                 if f_new > fval:
                     break
                 step *= 0.5
             if step < 1e-14:
-                reason = "step-underflow"  # no ascent direction left at fd resolution
+                reason = "step-underflow"  # no step >= 1e-14 along the exact gradient helps
                 break
-            a, fval = a_new, f_new
+            a, fval, grad = a_new, f_new, g_new
             step = min(step * 2.0, 1e3)
+        params = NuqamParams(tuple(a))
         return AlphaDescentResult(
-            alpha=NuqamParams(tuple(a)),
-            objective=fval,
+            alpha=params,
+            objective=cutoff_rate(normalize_energy(make_nuqam(params), float(q_bits)), ch),
             iterations=it,
             converged=reason == "gradient-tolerance",
             reason=reason,

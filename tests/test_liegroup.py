@@ -175,18 +175,15 @@ class TestGeodesicDescent:
     @staticmethod
     def _alignment_problem(target: RotationMatrix):
         # f(Q) = -tr(T^t Q), minimized on SO(n) exactly at Q = T
-        def f(q):
-            return -float(np.trace(target.entries.T @ q.entries))
+        def f_and_grad(q):
+            return -float(np.trace(target.entries.T @ q.entries)), -target.entries
 
-        def grad_f(q):
-            return -target.entries
-
-        return f, grad_f
+        return f_and_grad
 
     def test_converges_to_known_optimum(self):
         target = rotation_at(skew_family(2), 1.1)
-        f, grad_f = self._alignment_problem(target)
-        trace = geodesic_descent(f, grad_f, rotation_at(skew_family(2), 0.0))
+        f_and_grad = self._alignment_problem(target)
+        trace = geodesic_descent(f_and_grad, rotation_at(skew_family(2), 0.0))
         # either the gradient tolerance is hit or the step underflows once f
         # can no longer improve at float resolution
         assert trace.reason in ("gradient-tolerance", "step-underflow")
@@ -195,21 +192,21 @@ class TestGeodesicDescent:
 
     def test_objective_decreases_monotonically(self):
         target = rotation_at(skew_family(2), 0.8)
-        f, grad_f = self._alignment_problem(target)
-        trace = geodesic_descent(f, grad_f, rotation_at(skew_family(2), 0.0))
+        f_and_grad = self._alignment_problem(target)
+        trace = geodesic_descent(f_and_grad, rotation_at(skew_family(2), 0.0))
         vals = [row[2] for row in trace.iterates]
         assert all(b <= a for a, b in zip(vals, vals[1:]))
 
     def test_iterates_stay_on_manifold(self, monkeypatch):
         target = rotation_at(skew_family(2), 0.8)
         q0 = rotation_at(skew_family(2), 0.0)
-        f, grad_f = self._alignment_problem(target)
+        f_and_grad = self._alignment_problem(target)
         evals = validations = 0
 
-        def counted_f(q):
+        def counted_f_and_grad(q):
             nonlocal evals
             evals += 1
-            return f(q)
+            return f_and_grad(q)
 
         validate = RotationMatrix.__post_init__
 
@@ -219,7 +216,7 @@ class TestGeodesicDescent:
             validate(self)
 
         monkeypatch.setattr(RotationMatrix, "__post_init__", counted_validate)
-        trace = geodesic_descent(counted_f, grad_f, q0)
+        trace = geodesic_descent(counted_f_and_grad, q0)
         for _, q, _, _ in trace.iterates[:: max(1, len(trace.iterates) // 10)]:
             assert np.max(np.abs(q.entries @ q.entries.T - np.eye(4))) <= 1e-10
         # each trial rotation is validated once and the accepted one is reused
@@ -228,16 +225,16 @@ class TestGeodesicDescent:
 
     def test_max_iterations_reason(self):
         target = rotation_at(skew_family(2), 1.1)
-        f, grad_f = self._alignment_problem(target)
-        trace = geodesic_descent(f, grad_f, rotation_at(skew_family(2), 0.0), max_iters=2)
+        f_and_grad = self._alignment_problem(target)
+        trace = geodesic_descent(f_and_grad, rotation_at(skew_family(2), 0.0), max_iters=2)
         assert not trace.converged
         assert trace.reason == "max-iterations"
 
     def test_rejects_bad_step(self):
         target = rotation_at(skew_family(1), 0.5)
-        f, grad_f = self._alignment_problem(target)
+        f_and_grad = self._alignment_problem(target)
         with pytest.raises(ValueError):
-            geodesic_descent(f, grad_f, target, step=0.0)
+            geodesic_descent(f_and_grad, target, step=0.0)
 
 
 class TestRotationCsv:

@@ -33,6 +33,7 @@ from rotcon.metrics import (
     compute_report,
     difference_multiset,
     pair_sum_rational,
+    rational_weights,
 )
 
 from conftest import (
@@ -175,6 +176,16 @@ class TestCutoffRate:
         x = normalize_energy(make_qam_product(16, 1), 4.0)
         rates = [cutoff_rate(x, ChannelSpec.from_ebn0_db(db)) for db in range(-5, 25, 2)]
         assert all(a < b for a, b in zip(rates, rates[1:]))
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    @pytest.mark.parametrize("rows", [33, 2400])
+    def test_row_products_are_those_of_np_prod(self, rng, n, rows):
+        z = rng.normal(scale=3.0, size=(rows, n))
+        w_rows = 1.0 / (1.0 + z**2 * (1.0 / (8.0 * 0.1)))  # stored by row, as z is
+        for zz in (z, np.asfortranarray(z)):
+            w, p = rational_weights(zz, 0.1)
+            assert np.array_equal(w, w_rows)
+            assert np.array_equal(p, np.prod(w_rows, axis=1))
 
 
 class TestConditionalRate:

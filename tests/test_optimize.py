@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotcon import (
     ChannelSpec,
@@ -25,7 +27,12 @@ from rotcon import (
 from rotcon import optimize
 from rotcon.liegroup import RotationMatrix, SkewMatrix, expm_skew
 from rotcon.metrics import pair_sum_rational
-from rotcon.optimize import default_nuqam_init, default_start_rotation
+from rotcon.optimize import (
+    _nuqam_rate_and_gradient,
+    _rate_and_gradient,
+    default_nuqam_init,
+    default_start_rotation,
+)
 
 from conftest import random_constellation
 
@@ -159,6 +166,22 @@ class TestGradient:
         with pytest.raises(ValueError):
             cutoff_rate_gradient(x, ch, q)
 
+    @pytest.mark.parametrize("name", ["16qam4d", "4qam8d", "rand4d"])
+    def test_descent_rate_matches_rotated_cutoff_rate(self, name):
+        x = {
+            "16qam4d": lambda: normalize_energy(make_qam_product(16, 2), 8.0),
+            "4qam8d": lambda: normalize_energy(make_qam_product(4, 4), 8.0),
+            "rand4d": lambda: random_constellation(np.random.default_rng(4), 16, 4),
+        }[name]()
+        rng = np.random.default_rng(17)
+        ch = ChannelSpec.from_ebn0_db(9.0)
+        z, counts = x.pair_differences
+        for _ in range(5):
+            m = rng.normal(size=(x.n, x.n))
+            q = expm_skew(SkewMatrix(m - m.T))
+            rate, _ = _rate_and_gradient(z, counts, x.q_bits, ch.N0, q.entries)
+            assert rate == pytest.approx(cutoff_rate(rotate(x, q), ch), rel=1e-12, abs=0)
+
 
 class TestManifoldDescent:
     def test_recovers_family_optimum_in_2d(self):
@@ -191,9 +214,7 @@ class TestNuqamAscent:
     def test_improves_on_uniform(self):
         ch = ChannelSpec.from_ebn0_db(8.0)
         res = optimize_nuqam(4, ch)
-        from rotcon.optimize import _nuqam_objective, _project_alpha
-
-        base = _nuqam_objective(_project_alpha(np.array([1.0, 3.0]), 4), 4, ch)
+        base = cutoff_rate(normalize_energy(make_nuqam(NuqamParams((1.0, 3.0))), 4.0), ch)
         assert res.objective > base
         assert res.converged
 
@@ -219,3 +240,56 @@ class TestNuqamAscent:
     def test_rejects_bad_q_bits(self):
         with pytest.raises(ValueError):
             optimize_nuqam(5, ChannelSpec.from_ebn0_db(8.0))
+
+    def test_objective_is_the_cutoff_rate_of_the_result(self):
+        ch = ChannelSpec.from_ebn0_db(12.0)
+        res = optimize_nuqam(6, ch)
+        x = normalize_energy(make_nuqam(res.alpha), 6.0)
+        assert res.objective == cutoff_rate(x, ch)
+
+    def test_ill_conditioned_ascent_reaches_gradient_tolerance(self):
+        # thousands of steps at this SNR; the reference rate is that of the
+        # finite-difference ascent this one replaced
+        res = optimize_nuqam(6, ChannelSpec.from_ebn0_db(13.6))
+        assert res.reason == "gradient-tolerance"
+        assert res.objective >= 4.0074818722710415 - 1e-9
+
+
+@st.composite
+def _nuqam_inputs(draw):
+    """Energy target q_bits in 2..10, its k = 2^(q/2 - 1) levels, and an Eb/N0 in dB."""
+    q_bits = draw(st.sampled_from([2, 4, 6, 8, 10]))
+    k = 2 ** (q_bits // 2 - 1)
+    steps = draw(st.lists(st.floats(0.01, 5.0), min_size=k, max_size=k))
+    alpha = np.cumsum(steps) * draw(st.floats(0.01, 100.0))
+    return alpha, q_bits, draw(st.floats(0.0, 20.0))
+
+
+class TestNuqamRateAndGradient:
+    @staticmethod
+    def _rate(alpha, q_bits, ch):
+        x = make_nuqam(NuqamParams(tuple(alpha)))
+        return cutoff_rate(normalize_energy(x, float(q_bits)), ch)
+
+    @given(_nuqam_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_rate_matches_cutoff_rate(self, inputs):
+        alpha, q_bits, db = inputs
+        ch = ChannelSpec.from_ebn0_db(db)
+        rate, _ = _nuqam_rate_and_gradient(alpha, q_bits, ch.N0)
+        assert rate == pytest.approx(self._rate(alpha, q_bits, ch), rel=1e-12, abs=0)
+
+    @given(_nuqam_inputs())
+    @settings(max_examples=20, deadline=None)
+    def test_gradient_matches_finite_differences(self, inputs):
+        alpha, q_bits, db = inputs
+        ch = ChannelSpec.from_ebn0_db(db)
+        _, grad = _nuqam_rate_and_gradient(alpha, q_bits, ch.N0)
+        # the rate is invariant to scaling alpha, so the step follows its scale
+        h = 1e-6 * alpha[-1]
+        for i in range(len(alpha)):
+            ap, am = alpha.copy(), alpha.copy()
+            ap[i] += h
+            am[i] -= h
+            fd = (self._rate(ap, q_bits, ch) - self._rate(am, q_bits, ch)) / (2 * h)
+            assert grad[i] == pytest.approx(fd, rel=2e-5, abs=1e-9)
