@@ -29,9 +29,10 @@ from .constellation import (
     save,
     save_points_csv,
 )
-from .liegroup import load_rotation_csv, logm_rotation, rotation_at, save_rotation_csv, skew_family
+from .liegroup import (RotationMatrix, load_rotation_csv, logm_rotation, rotation_at,
+                       save_rotation_csv, skew_family)
 from .metrics import ChannelSpec, compute_report, cutoff_rate
-from .optimize import grid_search_t, optimize_nuqam, optimize_rotation_full
+from .optimize import _power_of_two_exponent, grid_search_t, optimize_nuqam, optimize_rotation_full
 
 
 class InputDataError(Exception):
@@ -56,12 +57,21 @@ def _add_constellation_args(p: argparse.ArgumentParser) -> None:
                    help="skip normalization to average energy P = q")
     rot = p.add_mutually_exclusive_group()
     rot.add_argument("--rotate-csv", metavar="PATH", help="apply a rotation loaded from CSV")
-    rot.add_argument("--rotate-t-deg", type=float, metavar="DEG",
+    rot.add_argument("--rotate-t-deg", type=_finite, metavar="DEG",
                      help="apply the family rotation Q(t)")
 
 
-def _build_constellation(args) -> Constellation:
+@contextlib.contextmanager
+def _bad_input():
+    """Report a file, value or dimension the library rejects as bad input data (exit 3)."""
     try:
+        yield
+    except (OSError, ValueError) as e:
+        raise InputDataError(str(e)) from e
+
+
+def _build_constellation(args) -> Constellation:
+    with _bad_input():
         if args.qam is not None:
             x = make_qam_product(args.qam, args.half_dims)
         elif args.nuqam is not None:
@@ -69,16 +79,10 @@ def _build_constellation(args) -> Constellation:
             x = make_nuqam(NuqamParams(alpha))
         else:
             x = load(args.file)
-    except (OSError, json.JSONDecodeError, ValueError) as e:
-        raise InputDataError(str(e)) from e
     if not args.no_normalize:
         x = normalize_energy(x, float(x.q_bits))
     if args.rotate_csv:
-        try:
-            q = load_rotation_csv(args.rotate_csv)
-        except (OSError, ValueError) as e:
-            raise InputDataError(str(e)) from e
-        x = rotate(x, q)
+        x = rotate(x, _load_rotation(args.rotate_csv, x.n))
     elif args.rotate_t_deg is not None:
         k = _family_exponent(x.n)
         x = rotate(x, rotation_at(skew_family(k), math.radians(args.rotate_t_deg)))
@@ -86,34 +90,54 @@ def _build_constellation(args) -> Constellation:
 
 
 def _family_exponent(n: int) -> int:
-    """k with n = 2^k, n >= 2: the dimensions the rotation family exists in."""
-    k = n.bit_length() - 1
-    if n < 2 or 2**k != n:
-        raise InputDataError(f"family rotation needs a power-of-two dimension, got {n}")
-    return k
+    with _bad_input():
+        return _power_of_two_exponent(n)
+
+
+def _load_rotation(path: str, n: int) -> RotationMatrix:
+    with _bad_input():
+        q = load_rotation_csv(path)
+    if q.n != n:
+        raise InputDataError(f"rotation {path} is {q.n}x{q.n} "
+                             f"but the constellation has dimension {n}")
+    return q
+
+
+def _number(arg: str, ok, what: str) -> float:
+    try:
+        v = float(arg)
+    except ValueError:
+        v = math.nan
+    if not ok(v):
+        raise argparse.ArgumentTypeError(f"{arg!r} is not {what}")
+    return v
+
+
+def _finite(arg: str) -> float:
+    return _number(arg, math.isfinite, "a finite number")
 
 
 def _grid_step_deg(arg: str) -> float:
+    return _number(arg, lambda v: 0 < v <= 45, "a number in (0, 45]")
+
+
+def _radius(arg: str) -> float:
+    return _number(arg, lambda v: v > 0, "a positive number or inf")
+
+
+def _channel(arg: str) -> ChannelSpec:
+    """An Eb/N0 value in dB whose noise variance is positive and finite."""
     try:
-        step = float(arg)
-    except ValueError:
-        step = math.nan
-    if not 0 < step <= 45:
-        raise argparse.ArgumentTypeError(f"{arg!r} is not a number in (0, 45]")
-    return step
+        ch = ChannelSpec.from_ebn0_db(float(arg))
+        if math.isfinite(ch.N0):
+            return ch
+    except (ValueError, OverflowError):
+        pass
+    raise argparse.ArgumentTypeError(f"{arg!r} is not an Eb/N0 value in dB")
 
 
-def _parse_radii(values) -> tuple[float, ...]:
-    if not values:
-        return (2.0, math.inf)
-    out = []
-    for v in values:
-        out.append(math.inf if v.lower() in ("inf", "infinity") else float(v))
-    return tuple(out)
-
-
-def _parse_ebn0(arg: str) -> list[float]:
-    return [float(v) for v in arg.split(",")]
+def _channels(arg: str) -> list[ChannelSpec]:
+    return [_channel(v) for v in arg.split(",")]
 
 
 def _out_stream(args):
@@ -133,22 +157,19 @@ def cmd_gen(args) -> int:
     if args.format == "csv":
         save_points_csv(x, args.out or sys.stdout)
     else:
-        if args.out:
-            save(x, args.out)
-        else:
-            json.dump({"n": x.n, "points": x.points.tolist(),
-                       "labels": list(x.labels) if x.labels else None}, sys.stdout)
+        save(x, args.out or sys.stdout)
+        if not args.out:
             print()
     return 0
 
 
 def cmd_family(args) -> int:
-    if not 1 <= args.k <= 12:
-        raise InputDataError("k must be in 1..12")
+    with _bad_input():
+        family = skew_family(args.k)
     t = math.radians(args.t_deg) if args.t_deg is not None else args.t
     if t is None:
         raise InputDataError("provide --t (radians) or --t-deg")
-    q = rotation_at(skew_family(args.k), t)
+    q = rotation_at(family, t)
     if args.format == "json":
         doc = {
             "k": args.k,
@@ -167,8 +188,7 @@ def cmd_family(args) -> int:
 
 def cmd_metrics(args) -> int:
     x = _build_constellation(args)
-    ch = ChannelSpec.from_ebn0_db(args.ebn0_db)
-    report = compute_report(x, ch, radii=_parse_radii(args.radius))
+    report = compute_report(x, args.channel, radii=tuple(args.radius or (2.0, math.inf)))
     if args.format == "json":
         doc = report.to_jsonable()
         doc["provenance"] = _provenance(args)
@@ -187,7 +207,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_opt_rotation(args) -> int:
     x = _build_constellation(args)
-    ch = ChannelSpec.from_ebn0_db(args.ebn0_db)
+    ch = args.channel
     if args.mode == "grid":
         k = _family_exponent(x.n)
         res = grid_search_t(x, ch, grid_step=math.radians(args.grid_step_deg),
@@ -218,8 +238,7 @@ def cmd_opt_rotation(args) -> int:
 
 
 def cmd_opt_nuqam(args) -> int:
-    ch = ChannelSpec.from_ebn0_db(args.ebn0_db)
-    res = optimize_nuqam(args.q_bits, ch, restarts=args.restarts, seed=args.seed)
+    res = optimize_nuqam(args.q_bits, args.channel, restarts=args.restarts, seed=args.seed)
     doc = {"q_bits": args.q_bits, "alpha": list(res.alpha.alpha),
            "R_bits": res.objective, "iterations": res.iterations,
            "converged": res.converged, "reason": res.reason,
@@ -231,27 +250,16 @@ def cmd_opt_nuqam(args) -> int:
 def cmd_sweep(args) -> int:
     x = _build_constellation(args)
     _family_exponent(x.n)  # reject before the CSV header is written
-    compare_q = None
-    if args.compare:
-        try:
-            compare_q = load_rotation_csv(args.compare)
-        except (OSError, ValueError):
-            print(f"warning: cannot load comparison rotation {args.compare}; "
-                  "delta column omitted", file=sys.stderr)
-    if compare_q is not None and compare_q.n != x.n:
-        raise InputDataError(f"comparison rotation is {compare_q.n}x{compare_q.n} "
-                             f"but the constellation has dimension {x.n}")
+    x_compare = rotate(x, _load_rotation(args.compare, x.n)) if args.compare else None
     with _out_stream(args) as fh:
         w = csv.writer(fh)
         header = ["ebn0_db", "t_opt_deg", "R_bits"]
-        if compare_q is not None:
+        if x_compare is not None:
             header.append("delta_R_bits")
         w.writerow(header)
-        x_compare = rotate(x, compare_q) if compare_q is not None else None
-        for db in _parse_ebn0(args.ebn0_db):
-            ch = ChannelSpec.from_ebn0_db(db)
+        for ch in args.channels:
             res = grid_search_t(x, ch, grid_step=math.radians(args.grid_step_deg))
-            row = [db, f"{math.degrees(res.t_opt):.6f}", f"{res.objective:.12g}"]
+            row = [ch.ebn0_db, f"{math.degrees(res.t_opt):.6f}", f"{res.objective:.12g}"]
             if x_compare is not None:
                 row.append(f"{res.objective - cutoff_rate(x_compare, ch):.12g}")
             w.writerow(row)
@@ -260,8 +268,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_ber(args) -> int:
     x = _build_constellation(args)
-    specs = [ChannelSpec.from_ebn0_db(db) for db in _parse_ebn0(args.ebn0_db)]
-    report = ber_monte_carlo(x, specs, min_bits=args.min_bits, seed=args.seed)
+    report = ber_monte_carlo(x, args.channels, min_bits=args.min_bits, seed=args.seed)
     with _out_stream(args) as fh:
         report.to_csv(fh)
     return 0
@@ -272,55 +279,61 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, constellation=True, ebn0="one", fmt="csv"):
-        sp.add_argument("--seed", type=int, default=0)
+    def common(sp, constellation=True, ebn0="one"):
         sp.add_argument("--out", metavar="PATH")
-        sp.add_argument("--format", choices=["csv", "json"], default=fmt)
         if constellation:
             _add_constellation_args(sp)
         if ebn0 == "one":
-            sp.add_argument("--ebn0-db", type=float, required=True, help="Eb/N0 in dB")
+            sp.add_argument("--ebn0-db", dest="channel", type=_channel, required=True,
+                            metavar="DB", help="Eb/N0 in dB")
         elif ebn0 == "list":
-            sp.add_argument("--ebn0-db", required=True,
-                            help="comma-separated Eb/N0 values in dB")
+            sp.add_argument("--ebn0-db", dest="channels", type=_channels, required=True,
+                            metavar="DB,...", help="comma-separated Eb/N0 values in dB")
         return sp
 
     sp = common(sub.add_parser("gen", help="generate a constellation"), ebn0=None)
+    sp.add_argument("--format", choices=["csv", "json"], default="csv")
     sp.set_defaults(func=cmd_gen)
 
     sp = common(sub.add_parser("family", help="emit the family rotation Q(t)"),
                 constellation=False, ebn0=None)
+    sp.add_argument("--format", choices=["csv", "json"], default="csv")
     sp.add_argument("-k", type=int, required=True, help="dimension exponent, n = 2^k")
-    sp.add_argument("--t", type=float, help="parameter in radians")
-    sp.add_argument("--t-deg", type=float, help="parameter in degrees")
+    t = sp.add_mutually_exclusive_group()
+    t.add_argument("--t", type=_finite, help="parameter in radians")
+    t.add_argument("--t-deg", type=_finite, help="parameter in degrees")
     sp.set_defaults(func=cmd_family)
 
     sp = common(sub.add_parser("metrics", help="rate/diversity/distance report"))
-    sp.add_argument("--radius", action="append", metavar="R",
-                    help="ball radius (repeatable; 'inf' allowed); default 2 and inf")
+    sp.add_argument("--format", choices=["csv", "json"], default="csv")
+    sp.add_argument("--radius", action="append", type=_radius, metavar="R",
+                    help="ball radius > 0 (repeatable; 'inf' allowed); default 2 and inf")
     sp.set_defaults(func=cmd_metrics)
 
-    sp = common(sub.add_parser("opt-rotation", help="optimize the rotation"))
+    sp = common(sub.add_parser("opt-rotation", help="optimize the rotation; JSON summary"))
     sp.add_argument("--mode", choices=["grid", "manifold"], default="grid")
     sp.add_argument("--grid-step-deg", type=_grid_step_deg, default=0.0572958,
                     help="grid resolution in degrees, in (0, 45] (default ~0.001 rad)")
     sp.add_argument("--profile", metavar="PATH", help="write the (t, R) profile CSV")
     sp.set_defaults(func=cmd_opt_rotation)
 
-    sp = common(sub.add_parser("opt-nuqam", help="optimize non-uniformity parameters"),
-                constellation=False, fmt="json")
+    sp = common(sub.add_parser("opt-nuqam", help="optimize non-uniformity parameters; JSON"),
+                constellation=False)
     sp.add_argument("--q-bits", type=int, required=True, choices=[4, 6, 8, 10])
     sp.add_argument("--restarts", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=0, help="seed of the restart perturbations")
     sp.set_defaults(func=cmd_opt_nuqam)
 
-    sp = common(sub.add_parser("sweep", help="t_opt and R across Eb/N0 values"), ebn0="list")
+    sp = common(sub.add_parser("sweep", help="t_opt and R across Eb/N0 values; CSV"),
+                ebn0="list")
     sp.add_argument("--grid-step-deg", type=_grid_step_deg, default=0.0572958,
                     help="grid resolution in degrees, in (0, 45] (default ~0.001 rad)")
     sp.add_argument("--compare", metavar="CSV", help="rotation to compare against")
     sp.set_defaults(func=cmd_sweep)
 
-    sp = common(sub.add_parser("ber", help="Monte Carlo bit error rate"), ebn0="list")
+    sp = common(sub.add_parser("ber", help="Monte Carlo bit error rate; CSV"), ebn0="list")
     sp.add_argument("--min-bits", type=int, default=10**6)
+    sp.add_argument("--seed", type=int, default=0, help="seed of the Monte Carlo draws")
     sp.set_defaults(func=cmd_ber)
     return p
 
@@ -329,10 +342,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputDataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (OSError, json.JSONDecodeError) as e:
+    except (InputDataError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (ValueError, FloatingPointError, np.linalg.LinAlgError) as e:

@@ -9,6 +9,7 @@ multiset on first use.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -170,24 +171,28 @@ def rotate(x: Constellation, q: RotationMatrix) -> Constellation:
     return y
 
 
-def save(x: Constellation, path) -> None:
-    """Write the JSON representation {"n":..., "points":..., "labels":...}."""
+def save(x: Constellation, dest) -> None:
+    """Write {"n":..., "points":..., "labels":...} as JSON to a path or an open text stream.
+
+    An unlabeled constellation has no "labels" field.
+    """
+    if isinstance(dest, (str, os.PathLike)):
+        with open(dest, "w") as fh:
+            return save(x, fh)
     doc = {"n": x.n, "points": x.points.tolist()}
     if x.labels is not None:
         doc["labels"] = list(x.labels)
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    json.dump(doc, dest)
 
 
 def load(path) -> Constellation:
-    """Read a constellation from JSON, re-validating all invariants."""
+    """Read a constellation from JSON, re-validating all invariants; null labels mean none."""
     with open(path) as fh:
         doc = json.load(fh)
     pts = np.array(doc["points"], dtype=float)
     if pts.ndim != 2 or pts.shape[1] != doc["n"]:
         raise ValueError("points do not match the declared dimension")
-    labels = tuple(doc["labels"]) if "labels" in doc else None
-    return Constellation(pts, labels)
+    return Constellation(pts, doc.get("labels"))  # the constructor makes a tuple of a list
 
 
 def save_points_csv(x: Constellation, path) -> None:

@@ -15,7 +15,6 @@ import scipy.linalg
 
 ORTHO_TOL = 1e-10
 MAX_HADAMARD_K = 12
-_REPROJECT_EVERY = 50  # descent iterations between polar re-projections
 
 
 @dataclass(frozen=True)
@@ -231,9 +230,6 @@ def geodesic_descent(
                 return trace
         rq, fval, g = r_new, f_new, g_new
         h = step
-        if (it + 1) % _REPROJECT_EVERY == 0:
-            rq = RotationMatrix(_project_rotation(rq.entries))
-            fval, g = f_and_grad(rq)
     trace.reason = "max-iterations"
     return trace
 

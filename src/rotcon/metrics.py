@@ -143,21 +143,17 @@ def local_cutoff_rate(x: Constellation, r: float, ch: ChannelSpec) -> float:
     return rate_from_pair_sum(x.q_bits, pair_sum_rational(z[keep], counts[keep], ch.N0))
 
 
-def diversity_order(
-    x: Constellation, r: float = math.inf, coordinate_tol: float = COORDINATE_TOL
-) -> int:
+def diversity_order(x: Constellation, r: float = math.inf) -> int:
     """Minimum number of coordinates in which two points within r differ; n for an empty ball."""
     z, _ = x.pair_differences
     z = z[_within_radius(z, r)]
     if len(z) == 0:
         warnings.warn(f"no pair within radius {r}; empty-min convention", EmptyBallWarning)
         return x.n
-    return int(np.min(np.sum(np.abs(z) > coordinate_tol, axis=1)))
+    return int(np.min(np.sum(np.abs(z) > COORDINATE_TOL, axis=1)))
 
 
-def min_product_distance(
-    x: Constellation, r: float = math.inf, coordinate_tol: float = COORDINATE_TOL
-) -> tuple[float, float]:
+def min_product_distance(x: Constellation, r: float = math.inf) -> tuple[float, float]:
     """Minimum product of nonzero coordinate differences over pairs within r.
 
     Returns (d_p, d_p ** (1/n)), the raw and dimension-normalized values;
@@ -168,28 +164,26 @@ def min_product_distance(
     if len(az) == 0:
         warnings.warn(f"no pair within radius {r}; empty-min convention", EmptyBallWarning)
         return math.inf, math.inf
-    dp = float(np.min(np.prod(np.where(az > coordinate_tol, az, 1.0), axis=1)))
+    dp = float(np.min(np.prod(np.where(az > COORDINATE_TOL, az, 1.0), axis=1)))
     return dp, dp ** (1.0 / x.n)
 
 
-def high_snr_sum(
-    x: Constellation, ch: ChannelSpec, coordinate_tol: float = COORDINATE_TOL
-) -> float:
+def high_snr_sum(x: Constellation, ch: ChannelSpec) -> float:
     """High-SNR approximation of the pair sum: products of 8 N0 / (x_i - y_i)^2."""
     z, counts = x.pair_differences
     zsq = z**2
-    terms = np.where(np.abs(z) > coordinate_tol, 8.0 * ch.N0 / np.where(zsq > 0, zsq, 1.0), 1.0)
+    terms = np.where(np.abs(z) > COORDINATE_TOL, 8.0 * ch.N0 / np.where(zsq > 0, zsq, 1.0), 1.0)
     return float(np.dot(counts.astype(float), np.prod(terms, axis=1)))
 
 
-def is_locally_fully_diverse(q: RotationMatrix, tol: float = COORDINATE_TOL) -> bool:
-    """True iff every entry of Q is nonzero beyond tol.
+def is_locally_fully_diverse(q: RotationMatrix) -> bool:
+    """True iff every entry of Q is nonzero beyond COORDINATE_TOL.
 
     For a QAM constellation this is equivalent to local full diversity at
     radius 2: nearest neighbors differ by twice a standard basis vector, so
     the rotated differences are columns of Q.
     """
-    return bool(np.all(np.abs(q.entries) > tol))
+    return bool(np.all(np.abs(q.entries) > COORDINATE_TOL))
 
 
 @dataclass
@@ -224,17 +218,14 @@ class MetricsReport:
 
 
 def compute_report(
-    x: Constellation,
-    ch: ChannelSpec,
-    radii: tuple[float, ...] = (2.0, math.inf),
-    coordinate_tol: float = COORDINATE_TOL,
+    x: Constellation, ch: ChannelSpec, radii: tuple[float, ...] = (2.0, math.inf)
 ) -> MetricsReport:
     """Evaluate every metric at each requested radius from the one cached multiset."""
     local_r, div, mp, mpn = {}, {}, {}, {}
     for r in radii:
         local_r[r] = local_cutoff_rate(x, r, ch)
-        div[r] = diversity_order(x, r, coordinate_tol)
-        mp[r], mpn[r] = min_product_distance(x, r, coordinate_tol)
+        div[r] = diversity_order(x, r)
+        mp[r], mpn[r] = min_product_distance(x, r)
     return MetricsReport(
         q_bits=x.q_bits,
         n=x.n,

@@ -51,9 +51,10 @@ class AlphaDescentResult:
 
 
 def _power_of_two_exponent(n: int) -> int:
+    """k with n = 2^k, n >= 2: the dimensions the rotation family exists in."""
     k = n.bit_length() - 1
     if n < 2 or 2**k != n:
-        raise ValueError(f"dimension {n} is not a power of two")
+        raise ValueError(f"family rotation needs a power-of-two dimension, got {n}")
     return k
 
 
@@ -160,12 +161,7 @@ def default_start_rotation(n: int) -> RotationMatrix:
 
 
 def optimize_rotation_full(
-    x: Constellation,
-    ch: ChannelSpec,
-    q0: RotationMatrix | None = None,
-    step: float = 0.1,
-    max_iters: int = 5000,
-    grad_tol: float = 1e-8,
+    x: Constellation, ch: ChannelSpec, q0: RotationMatrix | None = None, max_iters: int = 5000
 ) -> DescentTrace:
     """Geodesic descent on f(Q) = -R(Q X) over all of SO(n).
 
@@ -178,7 +174,7 @@ def optimize_rotation_full(
         r, g = _rate_and_gradient(*x.pair_differences, x.q_bits, ch.N0, q.entries)
         return -r, -g
 
-    return geodesic_descent(f_and_grad, q0, step=step, max_iters=max_iters, grad_tol=grad_tol)
+    return geodesic_descent(f_and_grad, q0, max_iters=max_iters)
 
 
 def default_nuqam_init(q_bits: int) -> NuqamParams:
@@ -222,7 +218,6 @@ def _project_alpha(alpha: np.ndarray, q_bits: int) -> np.ndarray:
 def optimize_nuqam(
     q_bits: int,
     ch: ChannelSpec,
-    init: NuqamParams | None = None,
     max_iters: int = 10000,
     grad_tol: float = 1e-7,
     restarts: int = 0,
@@ -230,15 +225,14 @@ def optimize_nuqam(
 ) -> AlphaDescentResult:
     """Steepest ascent of the cutoff rate over the non-uniformity parameters.
 
-    Each trial costs one closed-form rate and exact gradient; each iterate is
-    projected back to positive ascending levels at energy q_bits, and the
-    objective is `cutoff_rate` of the result.  With restarts > 0, that many
-    perturbed initial points are also tried and the best outcome returned.
+    Starts from `default_nuqam_init(q_bits)`.  Each trial costs one
+    closed-form rate and exact gradient; each iterate is projected back to
+    positive ascending levels at energy q_bits, and the objective is
+    `cutoff_rate` of the result.  With restarts > 0, that many perturbed
+    initial points are also tried and the best outcome returned.
     """
     if q_bits not in (4, 6, 8, 10):
         raise ValueError("q_bits must be one of 4, 6, 8, 10")
-    if init is None:
-        init = default_nuqam_init(q_bits)
 
     def run(a0: np.ndarray) -> AlphaDescentResult:
         a = _project_alpha(a0, q_bits)
@@ -270,10 +264,10 @@ def optimize_nuqam(
             reason=reason,
         )
 
-    best = run(np.array(init.alpha, dtype=float))
+    base = np.array(default_nuqam_init(q_bits).alpha)
+    best = run(base)
     if restarts > 0:
         rng = np.random.default_rng(seed)
-        base = np.array(init.alpha, dtype=float)
         for _ in range(restarts):
             cand = run(base * rng.uniform(0.8, 1.25, size=base.shape))
             if cand.objective > best.objective:

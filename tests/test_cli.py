@@ -68,6 +68,13 @@ class TestGenCommand:
     def test_missing_file_is_input_error(self, tmp_path):
         assert main(["gen", "--file", str(tmp_path / "nope.json")]) == 3
 
+    def test_rotation_of_another_dimension_is_input_error(self, tmp_path, capsys):
+        qpath = tmp_path / "q2.csv"
+        save_rotation_csv(rotation_at(skew_family(1), 0.3), qpath)
+        argv = ["gen", "--qam", "4", "--half-dims", "2", "--rotate-csv", str(qpath)]
+        assert main(argv) == 3
+        assert capsys.readouterr().out == ""
+
     def test_bad_nuqam_is_input_error(self):
         assert main(["gen", "--nuqam", "3,1"]) == 3
 
@@ -94,6 +101,7 @@ class TestMetricsCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["q_bits"] == 2
         assert 0.0 <= doc["cutoff_rate"] <= 2.0
+        assert doc["provenance"]["seed"] is None  # metrics takes no --seed
 
     def test_single_value_commands_reject_an_ebn0_list(self, capsys):
         # metrics, opt-rotation and opt-nuqam evaluate one Eb/N0; a list is a
@@ -148,12 +156,13 @@ class TestOptRotationCommand:
 
 class TestOptNuqamCommand:
     def test_json_output(self, capsys):
-        assert main(["opt-nuqam", "--q-bits", "4", "--ebn0-db", "8"]) == 0
+        assert main(["opt-nuqam", "--q-bits", "4", "--ebn0-db", "8", "--seed", "7"]) == 0
         doc = json.loads(capsys.readouterr().out)
         a = doc["alpha"]
         assert len(a) == 2 and a[0] < a[1]
         assert doc["converged"]
         assert doc["reason"] == "gradient-tolerance"
+        assert doc["provenance"]["seed"] == 7
 
 
 class TestSweepCommand:
@@ -187,6 +196,20 @@ class TestSweepCommand:
         assert main(argv) == 3
         assert capsys.readouterr().out == ""
 
+    def test_unreadable_compare_file_is_input_error(self, tmp_path, capsys):
+        # the same files make --rotate-csv exit 3 too
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1,2\n3,4\n")  # not a rotation
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--qam", "4", "--half-dims", "2", "--ebn0-db", "8",
+                "--grid-step-deg", "1.0"]
+        for path in (bad, tmp_path / "missing.csv"):
+            assert main(argv + ["--compare", str(path), "--out", str(out)]) == 3
+            assert not out.exists()
+            assert main(argv + ["--compare", str(path)]) == 3
+            assert main(argv + ["--rotate-csv", str(path)]) == 3
+        assert capsys.readouterr().out == ""
+
     def test_non_power_of_two_dimension_is_input_error(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         argv = ["sweep", "--qam", "4", "--half-dims", "3", "--ebn0-db", "8"]
@@ -211,7 +234,56 @@ class TestBerCommand:
         assert header == "ebn0_db,bits,bit_errors,ber,ber_lo,ber_hi,symbol_errors,ser,seed"
 
 
+class TestOptionsAndValues:
+    @pytest.mark.parametrize("argv", [
+        # --format on the commands that write one format
+        ["opt-rotation", "--qam", "4", "--ebn0-db", "8", "--format", "json"],
+        ["opt-nuqam", "--q-bits", "4", "--ebn0-db", "8", "--format", "json"],
+        ["sweep", "--qam", "4", "--half-dims", "2", "--ebn0-db", "8", "--format", "json"],
+        ["ber", "--qam", "4", "--ebn0-db", "10", "--format", "csv"],
+        # --seed on the commands that draw no random numbers
+        ["gen", "--qam", "4", "--seed", "1"],
+        ["family", "-k", "2", "--t", "0.1", "--seed", "1"],
+        ["metrics", "--qam", "4", "--ebn0-db", "8", "--seed", "1"],
+        ["opt-rotation", "--qam", "4", "--ebn0-db", "8", "--seed", "1"],
+        ["sweep", "--qam", "4", "--half-dims", "2", "--ebn0-db", "8", "--seed", "1"],
+    ])
+    def test_option_the_command_does_not_read_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--qam", "4", "--half-dims", "2", "--ebn0-db", "8,x"],
+        ["ber", "--qam", "4", "--ebn0-db", "10,nan", "--min-bits", "10000"],
+        ["metrics", "--qam", "4", "--ebn0-db", "inf"],
+        ["opt-nuqam", "--q-bits", "4", "--ebn0-db=-inf"],
+        ["metrics", "--qam", "4", "--ebn0-db", "8", "--radius", "foo"],
+        ["metrics", "--qam", "4", "--ebn0-db", "8", "--radius", "-1"],
+        ["metrics", "--qam", "4", "--ebn0-db", "8", "--radius", "0"],
+        ["metrics", "--qam", "4", "--ebn0-db", "8", "--radius", "nan"],
+        ["family", "-k", "2", "--t", "0.1", "--t-deg", "30"],
+        ["family", "-k", "2", "--t", "nan"],
+        ["gen", "--qam", "4", "--half-dims", "2", "--rotate-t-deg", "inf"],
+    ])
+    def test_bad_value_is_usage_error_before_output(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
 class TestFileRoundtrip:
+    def test_unlabeled_json_on_stdout_feeds_metrics(self, tmp_path, capsys):
+        src = tmp_path / "x.json"
+        save(Constellation(np.array([[0.0, 1.0], [1.0, 0.0], [0.0, -1.0], [-1.0, 0.0]])), src)
+        assert main(["gen", "--file", str(src), "--no-normalize", "--format", "json"]) == 0
+        piped = tmp_path / "piped.json"
+        piped.write_text(capsys.readouterr().out)
+        assert piped.read_text() == src.read_text() + "\n"
+        assert main(["metrics", "--file", str(piped), "--ebn0-db", "8"]) == 0
+
     def test_saved_constellation_feeds_metrics(self, tmp_path):
         x = normalize_energy(make_qam_product(16, 1), 4.0)
         path = tmp_path / "x.json"

@@ -1,5 +1,6 @@
 """Tests for constellation construction, labeling, normalization, and I/O."""
 
+import io
 import itertools
 import math
 
@@ -179,6 +180,19 @@ class TestSerialization:
         x = Constellation(np.array([[0.0, 1.0], [1.0, 0.0]]))
         path = tmp_path / "x.json"
         save(x, path)
+        assert load(path).labels is None
+
+    def test_stream_matches_path(self, tmp_path):
+        x = make_qam_product(4, 1)
+        path = tmp_path / "x.json"
+        save(x, path)
+        stream = io.StringIO()
+        save(x, stream)
+        assert stream.getvalue() == path.read_text()
+
+    def test_null_labels_load_as_unlabeled(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text('{"n": 2, "points": [[0.0, 1.0], [1.0, 0.0]], "labels": null}')
         assert load(path).labels is None
 
     def test_load_rejects_dimension_mismatch(self, tmp_path):

@@ -219,8 +219,10 @@ class TestGeodesicDescent:
         trace = geodesic_descent(counted_f_and_grad, q0)
         for _, q, _, _ in trace.iterates[:: max(1, len(trace.iterates) // 10)]:
             assert np.max(np.abs(q.entries @ q.entries.T - np.eye(4))) <= 1e-10
+        # a long run stays on SO(n) with no periodic re-projection: a trial is
+        # projected only when it misses ORTHO_TOL
+        assert len(trace.iterates) > 50
         # each trial rotation is validated once and the accepted one is reused
-        assert len(trace.iterates) > 50  # a re-projection happened too
         assert validations == evals
 
     def test_max_iterations_reason(self):
