@@ -8,20 +8,29 @@ BER Monte Carlo and the fade-conditioned cutoff-rate bounds are built from
 batch.  Monte Carlo bit/symbol error counting is deterministic for a given
 seed: the random stream is split into fixed-size substreams per Eb/N0 point
 and per chunk, so results do not depend on how the work is partitioned.
+
+`ml_decode` has two paths with the same decisions.  A constellation with a
+product frame (an axis product such as QAM or NUQAM, or a `rotate` of one)
+is decoded by an exact breadth-first sphere search over its level box, a few
+candidates per symbol; any other point set by brute force over all m points.
 """
 
 from __future__ import annotations
 
 import csv
+import logging
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Constellation
+from .constellation import Constellation, ProductFrame
 from .metrics import ChannelSpec, rate_from_pair_sum
 
 _CHUNK_SYMBOLS = 2048
+MIN_BITS = 10**4  # the smallest bit budget per Eb/N0 point of `ber_monte_carlo`
+
+_log = logging.getLogger("rotcon")
 
 
 @dataclass(frozen=True)
@@ -113,12 +122,118 @@ def transmit(x: np.ndarray, h: FadeVector, ch: ChannelSpec, rng: np.random.Gener
 
 
 def ml_decode(x: Constellation, y: np.ndarray, h: FadeVector) -> int | np.ndarray:
-    """Index (an array for a batch) of the point minimizing ||y - h*x'||^2; ties go low."""
+    """Index (an array for a batch) of the point minimizing ||y - h*x'||^2; ties go low.
+
+    A constellation with a product frame is searched by `_sphere_decode`,
+    any other point set by `_brute_force`; both decide by the same metric.
+    """
+    y = np.asarray(y, dtype=float)
+    y2 = np.atleast_2d(y)
+    h2 = np.broadcast_to(h.h, y2.shape)
+    frame = x.product_frame
+    if frame is None:
+        dec = _brute_force(x.points, y2, h2)
+    else:
+        dec = _sphere_decode(frame, x.points, y2, h2)
+    return int(dec[0]) if y.ndim == 1 else dec
+
+
+def _brute_force(pts: np.ndarray, y: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Argmin over all m points of the (c, n) batch, O(m) per symbol."""
     # ||y - h*x'||^2 expanded into two matrix products; the ||y||^2 term is
     # constant in the candidate and dropped
-    d = (h.h**2) @ (x.points**2).T - 2.0 * (y * h.h) @ x.points.T
-    dec = np.argmin(d, axis=-1)
-    return int(dec) if dec.ndim == 0 else dec
+    return np.argmin((h**2) @ (pts**2).T - 2.0 * (y * h) @ pts.T, axis=1)
+
+
+def _gram_schmidt(v: np.ndarray) -> np.ndarray:
+    """Modified Gram-Schmidt on the columns v[0..n-1] of each batch member.
+
+    v is (n + 1, n, c): n columns of n rows for each of c members, then one
+    right-hand side.  Returns r of shape (n, n + 1, c): the upper-triangular
+    R of v[:n] = QR in r[:, :n] and Q^T v[n] in r[:, n].  Factoring the
+    right-hand side as one more column keeps Q^T v[n] backward stable where
+    the computed Q loses orthogonality.  v is overwritten.
+    """
+    n = v.shape[1]
+    r = np.zeros((n, n + 1, v.shape[2]))
+    for k in range(n):
+        r[k, k] = np.sqrt(np.einsum("ic,ic->c", v[k], v[k]))
+        qk = v[k] / r[k, k]
+        r[k, k + 1:] = np.einsum("ic,lic->lc", qk, v[k + 1:])
+        v[k + 1:] -= r[k, k + 1:, None, :] * qk
+    return r
+
+
+def _sphere_decode(frame: ProductFrame, pts: np.ndarray, y: np.ndarray,
+                   h: np.ndarray) -> np.ndarray:
+    """Exact ML decisions for a rotated product constellation, breadth first.
+
+    The received y = diag(h) Q u + noise for level vectors u of the frame's
+    box, so with diag(h) Q = QR (`_gram_schmidt`) the metric is
+    ||Q^T y - R u||^2 plus a constant, a sum of one term per coordinate that
+    depends on the coordinates at and after it (Viterbo and Boutros, "A
+    universal lattice code decoder for fading channels", IEEE Trans. IT
+    45(5), 1999).  The box-clipped Babai point gives each symbol a radius;
+    levels are then fixed from the last coordinate down, keeping every
+    partial vector still inside it, and the survivors are decided by
+    `_brute_force`'s own metric on the points, ties to the lowest index.
+    The radius keeps a margin over the Babai distance, so the Babai path
+    survives.  Rows with a zero fade are decoded by brute force: candidates
+    that differ only in a coordinate it erases tie exactly, and the tie must
+    break as brute force breaks it.  So are rows with a radius that is not
+    finite, and would be any row left without a survivor.
+    """
+    c, n = y.shape
+    levels = frame.levels
+    strides = np.array(frame.index.strides) // frame.index.itemsize
+    v = np.concatenate([frame.rotation.T[:, :, None] * h.T[None], y.T[None]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = _gram_schmidt(v)
+        # the box-clipped Babai point: each level the nearest to its centre
+        e, babai = r[:, n].copy(), np.zeros(c)
+        for j in reversed(range(n)):
+            lv = levels[j]
+            u = lv[np.searchsorted((lv[1:] + lv[:-1]) / 2, e[j] / r[j, j])]
+            t = e[j] - r[j, j] * u
+            babai += t * t
+            e[:j] -= r[:j, j] * u
+    # 1e-9 relative slack, plus an allowance for the rounding of terms of the
+    # size of y and of the faded points, which matters only when the Babai
+    # distance is itself at rounding level
+    scale = np.sum(y * y, axis=1) + np.max(h * h, axis=1) * np.max(np.sum(pts**2, axis=1))
+    radius = (1.0 + 1e-9) * (babai + 1e-12 * scale)
+    ok = np.all(h > 0, axis=1) & np.isfinite(radius)
+
+    # survivors: symbol, flat key of the levels fixed so far, what is left of
+    # the radius, and the residual Q^T y - R u of the coordinates not yet fixed
+    sym = np.flatnonzero(ok)
+    key = np.zeros(len(sym), dtype=np.intp)
+    left = radius[sym]
+    e = r[:, n].T[sym]
+    for j in reversed(range(n)):
+        lv = levels[j]
+        t = e[:, j, None] - r[j, j][sym, None] * lv
+        t *= t
+        s, i = np.nonzero(t <= left[:, None])
+        sym, key, left = sym[s], key[s] + i * strides[j], left[s] - t[s, i]
+        e = e[s, :j] - r[:j, j].T[sym] * lv[i, None]
+
+    # survivors come grouped by symbol; decide each group by the brute-force
+    # metric, ties to the lowest index
+    cand = frame.index.reshape(-1)[key]
+    p = pts[cand]
+    metric = (np.einsum("si,si->s", (h * h)[sym], p * p)
+              - 2.0 * np.einsum("si,si->s", (y * h)[sym], p))
+    new = np.diff(sym, prepend=-1) != 0
+    first = np.flatnonzero(new)
+    best = np.minimum.reduceat(metric, first)[np.cumsum(new) - 1]
+    dec = np.empty(c, dtype=np.intp)
+    dec[sym[first]] = np.minimum.reduceat(np.where(metric == best, cand, len(pts)), first)
+    rest = np.ones(c, dtype=bool)
+    rest[sym] = False
+    if np.any(rest):
+        dec[rest] = _brute_force(pts, y[rest], h[rest])
+    return dec
 
 
 def _exp_pair_sums(zsq: np.ndarray, cf: np.ndarray, hsq: np.ndarray, n0: float) -> np.ndarray:
@@ -171,13 +286,18 @@ def ber_monte_carlo(
 
     Symbols are drawn uniformly; bit errors are Hamming distances between
     the transmitted and decoded labels.  Each Eb/N0 point gets a spawned
-    random substream, further split per fixed-size chunk of symbols.
+    random substream, further split per fixed-size chunk of symbols.  A
+    constellation without a product frame is decoded by brute force, which
+    is said once at INFO on the "rotcon" logger.
     """
     if x.labels is None:
         raise ValueError("bit error counting requires a labeled constellation")
-    if min_bits < 10**4:
-        raise ValueError("min_bits must be at least 10^4")
-    bits = np.array([[int(b) for b in lab] for lab in x.labels], dtype=np.uint8)
+    if min_bits < MIN_BITS:
+        raise ValueError(f"min_bits must be at least {MIN_BITS}")
+    if x.product_frame is None:
+        _log.info("ber_monte_carlo: brute-force ML decoding for m=%d, n=%d: the points "
+                  "are not a rotated Cartesian product of their axis levels", x.m, x.n)
+    bits = np.frombuffer("".join(x.labels).encode(), dtype=np.uint8).reshape(x.m, x.q_bits)
     symbols_per_point = -(-min_bits // x.q_bits)
     n_chunks = -(-symbols_per_point // _CHUNK_SYMBOLS)
     rows = []

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .channel import ber_monte_carlo
+from .channel import MIN_BITS, ber_monte_carlo
 from .constellation import (
     Constellation,
     NuqamParams,
@@ -125,15 +125,25 @@ def _radius(arg: str) -> float:
     return _number(arg, lambda v: v > 0, "a positive number or inf")
 
 
+def _count_at_least(lo: int):
+    """A type for an integer option that must be at least lo."""
+    def parse(arg: str) -> int:
+        try:
+            v = int(arg)
+        except ValueError:
+            v = None
+        if v is None or v < lo:
+            raise argparse.ArgumentTypeError(f"{arg!r} is not an integer of at least {lo}")
+        return v
+    return parse
+
+
 def _channel(arg: str) -> ChannelSpec:
     """An Eb/N0 value in dB whose noise variance is positive and finite."""
     try:
-        ch = ChannelSpec.from_ebn0_db(float(arg))
-        if math.isfinite(ch.N0):
-            return ch
+        return ChannelSpec.from_ebn0_db(float(arg))
     except (ValueError, OverflowError):
-        pass
-    raise argparse.ArgumentTypeError(f"{arg!r} is not an Eb/N0 value in dB")
+        raise argparse.ArgumentTypeError(f"{arg!r} is not an Eb/N0 value in dB") from None
 
 
 def _channels(arg: str) -> list[ChannelSpec]:
@@ -320,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = common(sub.add_parser("opt-nuqam", help="optimize non-uniformity parameters; JSON"),
                 constellation=False)
     sp.add_argument("--q-bits", type=int, required=True, choices=[4, 6, 8, 10])
-    sp.add_argument("--restarts", type=int, default=0)
+    sp.add_argument("--restarts", type=_count_at_least(0), default=0)
     sp.add_argument("--seed", type=int, default=0, help="seed of the restart perturbations")
     sp.set_defaults(func=cmd_opt_nuqam)
 
@@ -332,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sweep)
 
     sp = common(sub.add_parser("ber", help="Monte Carlo bit error rate; CSV"), ebn0="list")
-    sp.add_argument("--min-bits", type=int, default=10**6)
+    sp.add_argument("--min-bits", type=_count_at_least(MIN_BITS), default=10**6)
     sp.add_argument("--seed", type=int, default=0, help="seed of the Monte Carlo draws")
     sp.set_defaults(func=cmd_ber)
     return p

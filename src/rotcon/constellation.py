@@ -2,13 +2,14 @@
 
 A constellation is a set of m = 2^q distinct points, optionally carrying a
 Gray bit labeling.  All operations return new values; instances are
-immutable and their points read-only, so each caches its pair-difference
-multiset on first use.
+immutable and their points read-only, so each caches its product frame and
+its pair-difference multiset on first use.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,6 +19,37 @@ import numpy as np
 from .liegroup import RotationMatrix
 
 SUPPORTED_QAM_ORDERS = (4, 16, 64, 256, 1024)
+
+
+@dataclass(frozen=True)
+class ProductFrame:
+    """A constellation as a rotated Cartesian product of per-axis levels.
+
+    Point `index[i_0, ..., i_{n-1}]` is `rotation @ (levels[0][i_0], ...,
+    levels[n-1][i_{n-1}])`, exactly for an unrotated product (rotation I)
+    and up to float rounding for one made by `rotate`.
+    """
+
+    levels: tuple[np.ndarray, ...]  # ascending, one array per axis
+    index: np.ndarray  # point index of each tuple of level indices
+    rotation: np.ndarray
+
+    @classmethod
+    def detect(cls, points: np.ndarray) -> "ProductFrame | None":
+        """The frame of points that are the full product of their axis levels, else None."""
+        m, n = points.shape
+        levels = tuple(np.unique(points[:, i]) for i in range(n))
+        shape = tuple(len(v) for v in levels)
+        if math.prod(shape) != m:
+            return None
+        # distinct points on a grid of m cells fill it, so the keys are a permutation
+        keys = np.ravel_multi_index(
+            [np.searchsorted(v, points[:, i]) for i, v in enumerate(levels)], shape)
+        index = np.empty(m, dtype=np.intp)
+        index[keys] = np.arange(m)
+        for a in (*levels, index):
+            a.flags.writeable = False
+        return cls(levels, index.reshape(shape), np.eye(n))
 
 
 @dataclass(frozen=True)
@@ -70,6 +102,19 @@ class Constellation:
         return float(np.mean(np.sum(self.points**2, axis=1)))
 
     @cached_property
+    def product_frame(self) -> ProductFrame | None:
+        """The product frame of the points, or None for any other point set.
+
+        A constellation made by `rotate` carries its parent's levels and
+        index table under the composite rotation instead of detecting them.
+        """
+        if "_rotated_from" not in vars(self):
+            return ProductFrame.detect(self.points)
+        x, q = vars(self)["_rotated_from"]
+        f = x.product_frame
+        return None if f is None else ProductFrame(f.levels, f.index, q.entries @ f.rotation)
+
+    @cached_property
     def pair_differences(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (Z, counts) of `metrics.difference_multiset`, built on first use.
 
@@ -77,7 +122,7 @@ class Constellation:
         z @ Q^T, the expression `rotate` applies to the points, same counts.
         """
         if "_rotated_from" in vars(self):
-            x, q = vars(self).pop("_rotated_from")
+            x, q = vars(self)["_rotated_from"]
             z, counts = x.pair_differences
             z = z @ q.entries.T
         else:
@@ -167,7 +212,8 @@ def rotate(x: Constellation, q: RotationMatrix) -> Constellation:
     if q.n != x.n:
         raise ValueError(f"rotation is {q.n}-dimensional, constellation is {x.n}")
     y = Constellation(x.points @ q.entries.T, x.labels)
-    object.__setattr__(y, "_rotated_from", (x, q))  # see Constellation.pair_differences
+    # the carry: see Constellation.product_frame and Constellation.pair_differences
+    object.__setattr__(y, "_rotated_from", (x, q))
     return y
 
 

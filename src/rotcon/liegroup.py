@@ -46,6 +46,8 @@ class RotationMatrix:
         q = np.asarray(self.entries, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError("rotation matrix must be square")
+        if not np.all(np.isfinite(q)):
+            raise ValueError("rotation matrix entries must be finite")
         n = q.shape[0]
         ortho_err = np.max(np.abs(q @ q.T - np.eye(n)))
         det_err = abs(np.linalg.det(q) - 1.0)

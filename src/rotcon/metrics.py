@@ -3,10 +3,11 @@
 All pair sums run over ordered pairs (x, y), x != y, through the multiset of
 distinct difference vectors with multiplicities that each constellation
 carries (`Constellation.pair_differences`).  `difference_multiset` builds it
-once per constellation: a Cartesian product of axis levels (QAM, NUQAM)
-gives the product of its small axis multisets, other point sets their raw
-pairs.  A rotated constellation rotates its parent's set instead of
-building one.  Every rational pair term, the optimizers' too, comes from
+once per constellation: a Cartesian product of axis levels (QAM, NUQAM),
+found by `ProductFrame.detect` as the ML decoder's frame is, gives the
+product of its small axis multisets, other point sets their raw pairs.  A
+rotated constellation rotates its parent's set instead of building one.
+Every rational pair term, the optimizers' too, comes from
 `rational_weights`, which `pair_sum_rational` sums.
 Nothing here is random: the fade-conditioned bounds `r0_conditional` and
 `r0_expected_mc` live in `channel`, which owns the fading model.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Constellation
+from .constellation import Constellation, ProductFrame
 from .liegroup import RotationMatrix
 
 COORDINATE_TOL = 1e-9
@@ -42,8 +43,8 @@ class ChannelSpec:
     ebn0_db: float | None = None
 
     def __post_init__(self):
-        if self.N0 <= 0:
-            raise ValueError("noise variance must be positive")
+        if not 0 < self.N0 < math.inf:
+            raise ValueError(f"noise variance must be positive and finite, got {self.N0}")
 
     @classmethod
     def from_ebn0_db(cls, db: float) -> "ChannelSpec":
@@ -78,9 +79,9 @@ def difference_multiset(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (`_RAW_PAIR_BYTES`).
     """
     pts = np.asarray(points, dtype=float)
+    frame = ProductFrame.detect(pts)
     m, n = pts.shape
-    levels = [np.unique(pts[:, i]) for i in range(n)]
-    if math.prod(len(v) for v in levels) != m:
+    if frame is None:
         need = m * m * (16 * n + 9)  # the m^2 x n differences, their copy and counts
         if need > _RAW_PAIR_BYTES:
             raise ValueError(f"the raw pair differences of m={m} points in n={n} "
@@ -93,7 +94,7 @@ def difference_multiset(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     # zero: the row of the all-zero difference, that of the m pairs x = y
     z, counts, zero = np.empty((1, 0)), np.ones(1, dtype=np.int64), 0
-    for lv in levels:
+    for lv in frame.levels:
         reps, c, zi = _axis_multiset(lv)
         k = len(reps)
         z = np.column_stack([np.repeat(z, k, axis=0), np.tile(reps, len(z))])

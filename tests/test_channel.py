@@ -1,13 +1,18 @@
 """Tests for the fading simulator, ML decoding, and BER Monte Carlo."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
 
+import rotcon.channel
 from rotcon import (
     ChannelSpec,
+    Constellation,
+    NuqamParams,
     ber_monte_carlo,
+    make_nuqam,
     make_qam_product,
     ml_decode,
     normalize_energy,
@@ -18,6 +23,42 @@ from rotcon import (
     transmit,
 )
 from rotcon.channel import BerRow, FadeVector, wilson_interval
+
+from conftest import random_constellation
+
+
+def _brute_argmin(x, y, h):
+    """The brute-force decision: argmin of the expanded metric over all m points."""
+    return np.argmin((h**2) @ (x.points**2).T - 2.0 * (y * h) @ x.points.T, axis=1)
+
+
+def _stream(x, db, symbols, seed):
+    """Seeded (y, h) chunks of 2048 symbols, drawn as `ber_monte_carlo` draws them."""
+    rng = np.random.default_rng(seed)
+    ch = ChannelSpec.from_ebn0_db(db)
+    for lo in range(0, symbols, 2048):
+        c = min(2048, symbols - lo)
+        idx = rng.integers(0, x.m, size=c)
+        h = sample_fade((c, x.n), rng)
+        yield idx, transmit(x.points[idx], h, ch, rng), h
+
+
+def _qam(M, half_dims, t_deg=None):
+    x = make_qam_product(M, half_dims)
+    x = normalize_energy(x, float(x.q_bits))
+    if t_deg is None:
+        return x
+    k = (2 * half_dims).bit_length() - 1
+    return rotate(x, rotation_at(skew_family(k), math.radians(t_deg)))
+
+
+def _assert_decisions_match(x, db, symbols, seed=0):
+    errors = 0
+    for idx, y, h in _stream(x, db, symbols, seed):
+        dec = ml_decode(x, y, h)
+        assert np.array_equal(dec, _brute_argmin(x, y, h.h))
+        errors += int(np.count_nonzero(dec != idx))
+    assert errors > 0  # the comparison sees decoding errors
 
 
 class TestSampleFade:
@@ -93,6 +134,71 @@ class TestMlDecode:
         assert [ml_decode(x, y[i], FadeVector(h.h[i])) for i in range(len(y))] == dec.tolist()
 
 
+class TestSphereDecoder:
+    """Decisions of the product-frame search equal the brute-force argmin."""
+
+    @pytest.fixture
+    def no_brute_force(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("brute force on a product constellation")
+        monkeypatch.setattr("rotcon.channel._brute_force", refuse)
+
+    @pytest.mark.parametrize("db", [10.0, 14.0, 18.0])
+    @pytest.mark.parametrize("M", [16, 64])
+    def test_rotated_4d_qam(self, M, db, no_brute_force):
+        _assert_decisions_match(_qam(M, 2, 60.0), db, 10**5, seed=M)
+
+    @pytest.mark.parametrize("x", [
+        _qam(16, 2),
+        _qam(1024, 1, 30.0),
+        rotate(_qam(64, 2, 60.0), rotation_at(skew_family(2), math.radians(25.0))),
+        rotate(make_nuqam(NuqamParams((0.3, 1.0, 1.4, 2.5))),
+               rotation_at(skew_family(1), math.radians(20.0))),
+    ], ids=["unrotated-16qam-4d", "rotated-1024qam-2d", "64qam-4d-rotated-twice",
+            "rotated-nuqam"])
+    @pytest.mark.parametrize("db", [6.0, 16.0])
+    def test_other_products(self, x, db, no_brute_force):
+        _assert_decisions_match(x, db, 20000)
+
+    def test_frame_is_carried_through_rotations(self):
+        x = _qam(64, 2)
+        q1 = rotation_at(skew_family(2), math.radians(60.0))
+        q2 = rotation_at(skew_family(2), math.radians(25.0))
+        y = rotate(rotate(x, q1), q2)
+        y.pair_differences  # reading the set keeps the carry
+        f = y.product_frame
+        assert f.levels is x.product_frame.levels and f.index is x.product_frame.index
+        assert np.array_equal(f.rotation, q2.entries @ q1.entries)
+        u = np.stack(np.meshgrid(*f.levels, indexing="ij"), axis=-1).reshape(-1, 4)
+        assert np.allclose(y.points[f.index.reshape(-1)], u @ f.rotation.T,
+                           rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("t_deg", [None, 60.0])
+    def test_zero_fade_entry(self, t_deg):
+        # an erased coordinate makes points that differ only there tie exactly
+        # (Q(60 deg) is not fully diverse), and brute force breaks the tie
+        x = _qam(16, 2, t_deg)
+        rng = np.random.default_rng(3)
+        idx = rng.integers(0, x.m, size=4096)
+        h = sample_fade((4096, x.n), rng).h
+        h[::3, 1] = 0.0
+        h[::7, 3] = 0.0
+        y = transmit(x.points[idx], FadeVector(h), ChannelSpec.from_ebn0_db(12.0), rng)
+        dec = ml_decode(x, y, FadeVector(h))
+        assert np.array_equal(dec, _brute_argmin(x, y, h))
+        assert ml_decode(x, y[0], FadeVector(h[0])) == dec[0]
+
+    def test_non_product_takes_brute_force(self, monkeypatch):
+        x = random_constellation(np.random.default_rng(4), 64, 4)
+        assert x.product_frame is None
+        calls = []
+        brute = rotcon.channel._brute_force
+        monkeypatch.setattr("rotcon.channel._brute_force",
+                            lambda *a: calls.append(1) or brute(*a))
+        _assert_decisions_match(x, 10.0, 4096)
+        assert len(calls) == 2
+
+
 class TestWilson:
     def test_no_errors(self):
         lo, hi = wilson_interval(0, 1000)
@@ -152,6 +258,18 @@ class TestBerMonteCarlo:
         x = Constellation(np.array([[1.0, 1.0], [-1.0, -1.0]]))
         with pytest.raises(ValueError):
             ber_monte_carlo(x, [ChannelSpec.from_ebn0_db(10.0)])
+
+    def test_brute_force_is_logged_once(self, caplog):
+        pts = random_constellation(np.random.default_rng(2), 16, 2).points
+        x = Constellation(pts, make_qam_product(16, 1).labels)
+        specs = [ChannelSpec.from_ebn0_db(10.0), ChannelSpec.from_ebn0_db(14.0)]
+        with caplog.at_level(logging.INFO, logger="rotcon"):
+            ber_monte_carlo(x, specs, min_bits=20000)
+            ber_monte_carlo(_qam(16, 1, 30.0), specs, min_bits=20000)  # searched: no record
+        records = [r for r in caplog.records if r.name == "rotcon"]
+        assert [r.levelno for r in records] == [logging.INFO]
+        assert "brute-force" in records[0].getMessage()
+        assert "m=16, n=2" in records[0].getMessage()
 
     def test_rejects_tiny_budget(self):
         x = make_qam_product(4, 1)

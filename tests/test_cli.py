@@ -266,6 +266,11 @@ class TestOptionsAndValues:
         ["family", "-k", "2", "--t", "0.1", "--t-deg", "30"],
         ["family", "-k", "2", "--t", "nan"],
         ["gen", "--qam", "4", "--half-dims", "2", "--rotate-t-deg", "inf"],
+        ["ber", "--qam", "4", "--ebn0-db", "10", "--min-bits", "0"],
+        ["ber", "--qam", "4", "--ebn0-db", "10", "--min-bits", "9999"],
+        ["ber", "--qam", "4", "--ebn0-db", "10", "--min-bits", "1e5"],
+        ["opt-nuqam", "--q-bits", "4", "--ebn0-db", "8", "--restarts", "-3"],
+        ["opt-nuqam", "--q-bits", "4", "--ebn0-db", "8", "--restarts", "x"],
     ])
     def test_bad_value_is_usage_error_before_output(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -122,6 +122,15 @@ class TestStructuredTypes:
         with pytest.raises(ValueError):
             RotationMatrix(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rotation_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError):
+            RotationMatrix(np.full((2, 2), bad))
+        q = np.eye(3)
+        q[1, 2] = bad
+        with pytest.raises(ValueError):
+            RotationMatrix(q)
+
 
 class TestExpLog:
     def test_exp_of_zero(self):

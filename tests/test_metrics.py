@@ -55,6 +55,11 @@ class TestChannelSpec:
         with pytest.raises(ValueError):
             ChannelSpec(N0=0.0)
 
+    @pytest.mark.parametrize("n0", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_noise(self, n0):
+        with pytest.raises(ValueError):
+            ChannelSpec(N0=n0)
+
 
 class TestDifferenceMultiset:
     def test_counts_cover_all_ordered_pairs(self):
