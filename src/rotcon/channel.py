@@ -10,9 +10,10 @@ seed: the random stream is split into fixed-size substreams per Eb/N0 point
 and per chunk, so results do not depend on how the work is partitioned.
 
 `ml_decode` has two paths with the same decisions.  A constellation with a
-product frame (an axis product such as QAM or NUQAM, or a `rotate` of one)
-is decoded by an exact breadth-first sphere search over its level box, a few
-candidates per symbol; any other point set by brute force over all m points.
+product frame (an axis product such as QAM or NUQAM, or any rotation,
+rescaling or saved copy of one) is decoded by an exact breadth-first sphere
+search over its level box, a few candidates per symbol; any other point set
+by brute force over all m points.
 """
 
 from __future__ import annotations
@@ -35,14 +36,14 @@ _log = logging.getLogger("rotcon")
 
 @dataclass(frozen=True)
 class FadeVector:
-    """Non-negative fade diagonals: one (n,) realization or a (c, n) batch."""
+    """Finite non-negative fade diagonals: one (n,) realization or a (c, n) batch."""
 
     h: np.ndarray
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=float)
-        if h.ndim not in (1, 2) or np.any(h < 0):
-            raise ValueError("fade vector must be 1D or 2D with non-negative entries")
+        if h.ndim not in (1, 2) or not np.all((h >= 0) & (h < np.inf)):
+            raise ValueError("fade vector must be 1D or 2D with finite non-negative entries")
         object.__setattr__(self, "h", h)
 
 

@@ -2,16 +2,23 @@
 
 A constellation is a set of m = 2^q distinct points, optionally carrying a
 Gray bit labeling.  All operations return new values; instances are
-immutable and their points read-only, so each caches its product frame and
-its pair-difference multiset on first use.
+immutable and their points read-only, so each caches its pair-difference
+multiset on first use.
+
+A constellation that is a rotated Cartesian product of per-axis levels, as
+every QAM and NUQAM design is, knows it through one `ProductFrame`: the
+generators build it, `normalize_energy` scales its levels, `rotate`
+composes its rotation, `save` writes it and `load` checks it against the
+points.  Any other point set is searched for a frame once, when it is made.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -19,6 +26,14 @@ import numpy as np
 from .liegroup import RotationMatrix
 
 SUPPORTED_QAM_ORDERS = (4, 16, 64, 256, 1024)
+_FRAME_TOL = 1e-12  # how closely a loaded frame must give back the file's points, relative
+
+
+def _check_levels(levels) -> None:
+    for lv in levels:
+        if (lv.ndim != 1 or len(lv) == 0 or not np.all(np.isfinite(lv))
+                or not np.all(np.diff(lv) > 0)):
+            raise ValueError("frame levels must be finite and strictly ascending")
 
 
 @dataclass(frozen=True)
@@ -26,38 +41,52 @@ class ProductFrame:
     """A constellation as a rotated Cartesian product of per-axis levels.
 
     Point `index[i_0, ..., i_{n-1}]` is `rotation @ (levels[0][i_0], ...,
-    levels[n-1][i_{n-1}])`, exactly for an unrotated product (rotation I)
-    and up to float rounding for one made by `rotate`.
+    levels[n-1][i_{n-1}])`: exactly for a generated or detected product
+    (rotation I), up to float rounding once rotated, rescaled or loaded.
+    The arrays are read-only, and a derived frame shares those it keeps.
     """
 
-    levels: tuple[np.ndarray, ...]  # ascending, one array per axis
+    levels: tuple[np.ndarray, ...]  # strictly ascending, one array per axis
     index: np.ndarray  # point index of each tuple of level indices
     rotation: np.ndarray
 
+    def __post_init__(self):
+        _check_levels(self.levels)
+        for a in (*self.levels, self.index, self.rotation):
+            a.flags.writeable = False
+
     @classmethod
     def detect(cls, points: np.ndarray) -> "ProductFrame | None":
-        """The frame of points that are the full product of their axis levels, else None."""
+        """The frame of distinct finite points that are the full product of their axis levels.
+
+        None for any other point set.
+        """
         m, n = points.shape
         levels = tuple(np.unique(points[:, i]) for i in range(n))
         shape = tuple(len(v) for v in levels)
-        if math.prod(shape) != m:
+        if math.prod(shape) != m or not np.all(np.isfinite(points)):
             return None
         # distinct points on a grid of m cells fill it, so the keys are a permutation
         keys = np.ravel_multi_index(
             [np.searchsorted(v, points[:, i]) for i, v in enumerate(levels)], shape)
         index = np.empty(m, dtype=np.intp)
         index[keys] = np.arange(m)
-        for a in (*levels, index):
-            a.flags.writeable = False
         return cls(levels, index.reshape(shape), np.eye(n))
 
 
 @dataclass(frozen=True)
 class Constellation:
-    """m distinct points in R^n with m a power of two; labels are q-bit strings."""
+    """m distinct points in R^n with m a power of two; labels are q-bit strings.
+
+    The library's own constructors pass `_frame`, a frame they built or
+    checked, which also shows the points distinct.  Without one, the points
+    are checked for duplicates and searched for a frame by
+    `ProductFrame.detect`.
+    """
 
     points: np.ndarray
     labels: tuple[str, ...] | None = None
+    _frame: ProductFrame | None = field(default=None, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)  # a copy: the caller's array stays writeable
@@ -66,14 +95,17 @@ class Constellation:
         m = pts.shape[0]
         if m == 0 or m & (m - 1) != 0:
             raise ValueError(f"constellation size {m} is not a power of two")
-        if len({tuple(p) for p in pts}) != m:
-            raise ValueError("constellation points must be pairwise distinct")
+        if self._frame is None:
+            if len({tuple(p) for p in pts}) != m:
+                raise ValueError("constellation points must be pairwise distinct")
+            object.__setattr__(self, "_frame", ProductFrame.detect(pts))
         if self.labels is not None:
             labels = tuple(self.labels)
             q = self.q_bits_of(m)
             if len(labels) != m or len(set(labels)) != m:
                 raise ValueError("labels must be unique, one per point")
-            if any(len(b) != q or set(b) - {"0", "1"} for b in labels):
+            bits = "".join(labels)
+            if set(map(len, labels)) != {q} or bits.count("0") + bits.count("1") != len(bits):
                 raise ValueError(f"labels must be {q}-bit binary strings")
             object.__setattr__(self, "labels", labels)
         pts.flags.writeable = False
@@ -101,34 +133,21 @@ class Constellation:
         """Average squared norm of the points."""
         return float(np.mean(np.sum(self.points**2, axis=1)))
 
-    @cached_property
+    @property
     def product_frame(self) -> ProductFrame | None:
-        """The product frame of the points, or None for any other point set.
-
-        A constellation made by `rotate` carries its parent's levels and
-        index table under the composite rotation instead of detecting them.
-        """
-        if "_rotated_from" not in vars(self):
-            return ProductFrame.detect(self.points)
-        x, q = vars(self)["_rotated_from"]
-        f = x.product_frame
-        return None if f is None else ProductFrame(f.levels, f.index, q.entries @ f.rotation)
+        """The product frame of the points, or None for any other point set."""
+        return self._frame
 
     @cached_property
     def pair_differences(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (Z, counts) of `metrics.difference_multiset`, built on first use.
 
-        A constellation made by `rotate` rotates its parent's set instead:
-        z @ Q^T, the expression `rotate` applies to the points, same counts.
+        A constellation with a product frame gets the product of its axis
+        multisets under the frame's rotation, whatever made it.
         """
-        if "_rotated_from" in vars(self):
-            x, q = vars(self)["_rotated_from"]
-            z, counts = x.pair_differences
-            z = z @ q.entries.T
-        else:
-            from .metrics import difference_multiset
+        from .metrics import difference_multiset
 
-            z, counts = difference_multiset(self.points)
+        z, counts = difference_multiset(self.points, _frame=self._frame)
         z.flags.writeable = counts.flags.writeable = False
         return z, counts
 
@@ -152,20 +171,18 @@ def _gray_bits(index: int, width: int) -> str:
     return format(index ^ (index >> 1), f"0{width}b")
 
 
-def _pam_axis(levels: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    """Ascending PAM levels with per-level Gray labels."""
-    width = Constellation.q_bits_of(len(levels))
-    return levels, [_gray_bits(i, width) for i in range(len(levels))]
+def _axes_product(levels: tuple[np.ndarray, ...]) -> Constellation:
+    """Cartesian product of ascending PAM axes, the first axis slowest.
 
-
-def _axes_product(axes: list[tuple[np.ndarray, list[str]]]) -> Constellation:
-    """Cartesian product of labeled 1D axes, concatenating Gray labels."""
-    pts = [[]]
-    labs = [""]
-    for levels, bits in axes:
-        pts = [p + [lv] for p in pts for lv in levels]
-        labs = [s + b for s in labs for b in bits]
-    return Constellation(np.array(pts, dtype=float), tuple(labs))
+    Labels concatenate the per-axis Gray codes in the same order.
+    """
+    n = len(levels)
+    shape = tuple(len(lv) for lv in levels)
+    pts = np.stack(np.meshgrid(*levels, indexing="ij"), axis=-1).reshape(-1, n)
+    gray = [[_gray_bits(i, Constellation.q_bits_of(k)) for i in range(k)] for k in shape]
+    labels = tuple(map("".join, itertools.product(*gray)))
+    frame = ProductFrame(levels, np.arange(len(pts)).reshape(shape), np.eye(n))
+    return Constellation(pts, labels, _frame=frame)
 
 
 def qam_levels(M: int) -> np.ndarray:
@@ -184,43 +201,46 @@ def make_qam_product(M: int, half_dims: int) -> Constellation:
     """
     if half_dims < 1:
         raise ValueError("half_dims must be at least 1")
-    axis = _pam_axis(qam_levels(M))
-    return _axes_product([axis] * (2 * half_dims))
+    return _axes_product((qam_levels(M),) * (2 * half_dims))
 
 
 def make_nuqam(params: NuqamParams) -> Constellation:
     """2D non-uniform QAM: the product of {-a_k..-a_1, a_1..a_k} with itself."""
     a = np.array(params.alpha)
     levels = np.concatenate([-a[::-1], a])
-    axis = _pam_axis(levels)
-    return _axes_product([axis, axis])
+    return _axes_product((levels, levels))
 
 
 def normalize_energy(x: Constellation, target: float) -> Constellation:
-    """Uniformly rescale so the average squared norm equals target."""
+    """Uniformly rescale so the average squared norm equals target; a frame's levels scale too."""
     if target <= 0:
         raise ValueError("target energy must be positive")
     e = x.energy
     if e == 0:
         raise ValueError("cannot normalize an all-zero constellation")
     scale = np.sqrt(target / e)
-    return Constellation(x.points * scale, x.labels)
+    f = x.product_frame
+    if f is not None:
+        f = ProductFrame(tuple(lv * scale for lv in f.levels), f.index, f.rotation)
+    return Constellation(x.points * scale, x.labels, _frame=f)
 
 
 def rotate(x: Constellation, q: RotationMatrix) -> Constellation:
-    """Apply a rotation to every point; labels carry over unchanged."""
+    """Apply a rotation to every point; labels carry over, a frame's rotation composes."""
     if q.n != x.n:
         raise ValueError(f"rotation is {q.n}-dimensional, constellation is {x.n}")
-    y = Constellation(x.points @ q.entries.T, x.labels)
-    # the carry: see Constellation.product_frame and Constellation.pair_differences
-    object.__setattr__(y, "_rotated_from", (x, q))
-    return y
+    f = x.product_frame
+    if f is not None:
+        f = ProductFrame(f.levels, f.index, q.entries @ f.rotation)
+    return Constellation(x.points @ q.entries.T, x.labels, _frame=f)
 
 
 def save(x: Constellation, dest) -> None:
-    """Write {"n":..., "points":..., "labels":...} as JSON to a path or an open text stream.
+    """Write a constellation as JSON to a path or an open text stream.
 
-    An unlabeled constellation has no "labels" field.
+    The document is {"n":..., "points":..., "labels":..., "frame": {"levels":
+    [[...], ...], "rotation": [[...], ...]}}.  An unlabeled constellation has
+    no "labels" field, and one without a product frame no "frame" field.
     """
     if isinstance(dest, (str, os.PathLike)):
         with open(dest, "w") as fh:
@@ -228,17 +248,57 @@ def save(x: Constellation, dest) -> None:
     doc = {"n": x.n, "points": x.points.tolist()}
     if x.labels is not None:
         doc["labels"] = list(x.labels)
+    f = x.product_frame
+    if f is not None:
+        doc["frame"] = {"levels": [lv.tolist() for lv in f.levels],
+                        "rotation": f.rotation.tolist()}
     json.dump(doc, dest)
 
 
+def _read_frame(doc, pts: np.ndarray) -> ProductFrame:
+    """The frame a file declares, if it is a rotation of a level grid whose
+    cells hold one point each, every point within _FRAME_TOL of its cell
+    (relative to the largest coordinate); else ValueError."""
+    m, n = pts.shape
+    try:
+        rotation = RotationMatrix(np.array(doc["rotation"], dtype=float)).entries
+        levels = tuple(np.array(lv, dtype=float) for lv in doc["levels"])
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"malformed frame: {e!r}") from None
+    if rotation.shape != (n, n) or len(levels) != n:
+        raise ValueError(f"the frame is not {n}-dimensional")
+    _check_levels(levels)
+    shape = tuple(len(lv) for lv in levels)
+    if math.prod(shape) != m:
+        raise ValueError(f"the frame has {math.prod(shape)} cells for {m} points")
+    # each point's nearest level on each axis of the unrotated coordinates R^T p
+    u = pts @ rotation
+    cells = [np.searchsorted((lv[1:] + lv[:-1]) / 2, u[:, i]) for i, lv in enumerate(levels)]
+    index = np.full(m, -1, dtype=np.intp)
+    index[np.ravel_multi_index(cells, shape)] = np.arange(m)
+    if np.any(index < 0):
+        raise ValueError("two points fall in one cell of the frame")
+    err = np.max(np.abs(np.stack([lv[c] for lv, c in zip(levels, cells)], axis=1) @ rotation.T
+                        - pts))
+    if not err <= _FRAME_TOL * np.max(np.abs(pts)):  # NaN fails too
+        raise ValueError(f"the frame gives back the points only to {err:.3g}")
+    return ProductFrame(levels, index.reshape(shape), rotation)
+
+
 def load(path) -> Constellation:
-    """Read a constellation from JSON, re-validating all invariants; null labels mean none."""
+    """Read a constellation from JSON, re-validating all invariants; null labels mean none.
+
+    A "frame" field is checked against the points; a file without one is
+    searched for a frame as any point set is.
+    """
     with open(path) as fh:
         doc = json.load(fh)
     pts = np.array(doc["points"], dtype=float)
     if pts.ndim != 2 or pts.shape[1] != doc["n"]:
         raise ValueError("points do not match the declared dimension")
-    return Constellation(pts, doc.get("labels"))  # the constructor makes a tuple of a list
+    frame = None if doc.get("frame") is None else _read_frame(doc["frame"], pts)
+    # the constructor makes a tuple of a list of labels
+    return Constellation(pts, doc.get("labels"), _frame=frame)
 
 
 def save_points_csv(x: Constellation, path) -> None:

@@ -3,10 +3,10 @@
 All pair sums run over ordered pairs (x, y), x != y, through the multiset of
 distinct difference vectors with multiplicities that each constellation
 carries (`Constellation.pair_differences`).  `difference_multiset` builds it
-once per constellation: a Cartesian product of axis levels (QAM, NUQAM),
-found by `ProductFrame.detect` as the ML decoder's frame is, gives the
-product of its small axis multisets, other point sets their raw pairs.  A
-rotated constellation rotates its parent's set instead of building one.
+once per constellation: a rotated Cartesian product of axis levels (QAM,
+NUQAM, any rotation or rescaling of one, a product file) gives the product
+of its small axis multisets under the rotation of its `ProductFrame`, the
+frame the ML decoder searches too; any other point set gives its raw pairs.
 Every rational pair term, the optimizers' too, comes from
 `rational_weights`, which `pair_sum_rational` sums.
 Nothing here is random: the fade-conditioned bounds `r0_conditional` and
@@ -67,19 +67,21 @@ def _axis_multiset(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return reps, np.bincount(gid[inv.reshape(-1)]), zero
 
 
-def difference_multiset(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def difference_multiset(points: np.ndarray, _frame: ProductFrame | None = None
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """Distinct nonzero ordered-pair differences x - y with multiplicities.
 
-    Returns (Z, counts) with Z of shape (u, n).  When the points are the full
-    Cartesian product of their per-axis levels, Z is the product of the axis
-    multisets, whose coordinates are merged within 1e-12 relative, so the
-    values agree with the raw pair differences up to float noise.  Any other
-    point set gives its m(m - 1) raw pairs, says so at INFO on the "rotcon"
+    Returns (Z, counts) with Z of shape (u, n).  Points with a product frame
+    (`_frame`, from a constellation that has one, else `ProductFrame.detect`)
+    give the product of the axis multisets of its levels, whose coordinates
+    are merged within 1e-12 relative, rotated as the frame is, so the values
+    agree with the raw pair differences up to float noise.  Any other point
+    set gives its m(m - 1) raw pairs, says so at INFO on the "rotcon"
     logger, and raises ValueError if they would take more than 1 GiB
     (`_RAW_PAIR_BYTES`).
     """
     pts = np.asarray(points, dtype=float)
-    frame = ProductFrame.detect(pts)
+    frame = ProductFrame.detect(pts) if _frame is None else _frame
     m, n = pts.shape
     if frame is None:
         need = m * m * (16 * n + 9)  # the m^2 x n differences, their copy and counts
@@ -88,7 +90,7 @@ def difference_multiset(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                              f"dimensions need about {need} bytes "
                              f"(limit {_RAW_PAIR_BYTES})")
         _log.info("difference_multiset: raw pairs for m=%d, n=%d: the points are not "
-                  "a Cartesian product of their axis levels", m, n)
+                  "a rotated Cartesian product of axis levels", m, n)
         z = (pts[:, None, :] - pts[None, :, :])[~np.eye(m, dtype=bool)]
         return z, np.ones(len(z), dtype=np.int64)
 
@@ -100,7 +102,12 @@ def difference_multiset(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z = np.column_stack([np.repeat(z, k, axis=0), np.tile(reps, len(z))])
         counts = np.outer(counts, c).reshape(-1)
         zero = zero * k + zi
-    return np.delete(z, zero, axis=0), np.delete(counts, zero)
+    z, counts = np.delete(z, zero, axis=0), np.delete(counts, zero)
+    # z @ Q^T is the expression `rotate` applies to the points; an unrotated
+    # set is kept as built, with no copy
+    if not np.array_equal(frame.rotation, np.eye(n)):
+        z = z @ frame.rotation.T
+    return z, counts
 
 
 def rational_weights(z: np.ndarray, n0: float) -> tuple[np.ndarray, np.ndarray]:

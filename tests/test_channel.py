@@ -2,6 +2,8 @@
 
 import logging
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from rotcon import (
     transmit,
 )
 from rotcon.channel import BerRow, FadeVector, wilson_interval
+from rotcon.constellation import load, save
 
 from conftest import random_constellation
 
@@ -52,6 +55,12 @@ def _qam(M, half_dims, t_deg=None):
     return rotate(x, rotation_at(skew_family(k), math.radians(t_deg)))
 
 
+def _saved_and_loaded(x):
+    with tempfile.TemporaryDirectory() as d:
+        save(x, Path(d) / "x.json")
+        return load(Path(d) / "x.json")
+
+
 def _assert_decisions_match(x, db, symbols, seed=0):
     errors = 0
     for idx, y, h in _stream(x, db, symbols, seed):
@@ -73,8 +82,12 @@ class TestSampleFade:
         assert np.mean(draws**2) == pytest.approx(1.0, abs=0.02)
 
     def test_fade_vector_validation(self):
-        with pytest.raises(ValueError):
-            FadeVector(np.array([1.0, -0.5]))
+        # a NaN fade would otherwise decode silently as point 0
+        for bad in (-0.5, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                FadeVector(np.array([1.0, bad]))
+            with pytest.raises(ValueError):
+                FadeVector(np.array([[1.0, 0.5], [0.5, bad]]))
 
     def test_batch_equals_successive_single_draws(self):
         batch = sample_fade((5, 4), np.random.default_rng(9))
@@ -154,24 +167,32 @@ class TestSphereDecoder:
         rotate(_qam(64, 2, 60.0), rotation_at(skew_family(2), math.radians(25.0))),
         rotate(make_nuqam(NuqamParams((0.3, 1.0, 1.4, 2.5))),
                rotation_at(skew_family(1), math.radians(20.0))),
+        normalize_energy(_qam(16, 2, 30.0), 7.0),
+        _saved_and_loaded(_qam(64, 2, 30.0)),
     ], ids=["unrotated-16qam-4d", "rotated-1024qam-2d", "64qam-4d-rotated-twice",
-            "rotated-nuqam"])
+            "rotated-nuqam", "renormalized-rotated-16qam-4d", "loaded-rotated-64qam-4d"])
     @pytest.mark.parametrize("db", [6.0, 16.0])
     def test_other_products(self, x, db, no_brute_force):
         _assert_decisions_match(x, db, 20000)
 
     def test_frame_is_carried_through_rotations(self):
+        # rotations compose into the frame's one rotation; rescaling scales
+        # its levels; the index table is shared throughout
         x = _qam(64, 2)
         q1 = rotation_at(skew_family(2), math.radians(60.0))
         q2 = rotation_at(skew_family(2), math.radians(25.0))
         y = rotate(rotate(x, q1), q2)
-        y.pair_differences  # reading the set keeps the carry
         f = y.product_frame
         assert f.levels is x.product_frame.levels and f.index is x.product_frame.index
+        assert np.array_equal(rotate(x, q1).product_frame.rotation, q1.entries)
         assert np.array_equal(f.rotation, q2.entries @ q1.entries)
         u = np.stack(np.meshgrid(*f.levels, indexing="ij"), axis=-1).reshape(-1, 4)
         assert np.allclose(y.points[f.index.reshape(-1)], u @ f.rotation.T,
                            rtol=0, atol=1e-14)
+        g = normalize_energy(y, 2.0).product_frame
+        assert g.index is f.index and g.rotation is f.rotation
+        scale = math.sqrt(2.0 / y.energy)
+        assert all(np.array_equal(a, b * scale) for a, b in zip(g.levels, f.levels))
 
     @pytest.mark.parametrize("t_deg", [None, 60.0])
     def test_zero_fade_entry(self, t_deg):

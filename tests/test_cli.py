@@ -304,3 +304,34 @@ class TestFileRoundtrip:
         monkeypatch.setattr("rotcon.metrics._RAW_PAIR_BYTES", 1000)
         assert main(["metrics", "--file", str(path), "--ebn0-db", "8"]) == 4
         assert "m=16" in capsys.readouterr().err
+
+    def test_rotated_file_feeds_metrics_and_ber(self, tmp_path, capsys, monkeypatch):
+        # its frame comes back with it, so neither command meets the 16.7 M
+        # raw pairs or brute-force decoding
+        path = tmp_path / "r64.json"
+        assert main(["gen", "--qam", "64", "--half-dims", "2", "--rotate-t-deg", "30",
+                     "--format", "json", "--out", str(path)]) == 0
+        monkeypatch.setattr("rotcon.metrics._RAW_PAIR_BYTES", 1000)
+        reports = []
+        for source in (["--file", str(path), "--no-normalize"],
+                       ["--qam", "64", "--half-dims", "2", "--rotate-t-deg", "30"]):
+            assert main(["metrics", *source, "--ebn0-db", "10", "--format", "json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            del doc["provenance"]
+            reports.append(doc)
+        assert reports[0] == reports[1]
+
+        def refuse(*args):
+            raise AssertionError("brute force on a loaded rotated product")
+        monkeypatch.setattr("rotcon.channel._brute_force", refuse)
+        assert main(["ber", "--file", str(path), "--ebn0-db", "18", "--min-bits", "10000"]) == 0
+
+    def test_frame_off_the_points_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "r16.json"
+        assert main(["gen", "--qam", "16", "--rotate-t-deg", "30",
+                     "--format", "json", "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        doc["frame"]["levels"][1][2] *= 1 + 1e-9
+        path.write_text(json.dumps(doc))
+        assert main(["metrics", "--file", str(path), "--ebn0-db", "10"]) == 3
+        assert "gives back the points" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import json
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from rotcon import (
     rotation_at,
     skew_family,
 )
-from rotcon.constellation import load, qam_levels, save, save_points_csv
+from rotcon.constellation import ProductFrame, load, qam_levels, save, save_points_csv
 
 
 class TestReadOnlyPoints:
@@ -103,6 +104,31 @@ class TestMakeNuqam:
             NuqamParams(())
 
 
+class TestGeneratedFrames:
+    @pytest.mark.parametrize("x", [make_qam_product(16, 2), make_qam_product(64, 1),
+                                   make_nuqam(NuqamParams((0.3, 1.0, 1.4, 2.5)))])
+    def test_generated_frame_is_the_detected_one(self, x):
+        found = ProductFrame.detect(x.points)
+        f = x.product_frame
+        assert all(np.array_equal(a, b) for a, b in zip(f.levels, found.levels))
+        assert np.array_equal(f.index, found.index)
+        assert np.array_equal(f.rotation, np.eye(x.n))
+
+    def test_points_and_labels_in_product_order(self):
+        x = make_qam_product(4, 2)
+        assert [tuple(p) for p in x.points] == list(itertools.product([-1.0, 1.0], repeat=4))
+        assert list(x.labels) == ["".join(b) for b in itertools.product("01", repeat=4)]
+
+    def test_scaled_levels_are_the_detected_ones(self):
+        x = normalize_energy(make_qam_product(64, 2), 12.0)
+        found = ProductFrame.detect(x.points)
+        assert all(np.array_equal(a, b) for a, b in zip(x.product_frame.levels, found.levels))
+
+    def test_levels_that_collapse_are_refused(self):
+        with pytest.raises(ValueError):
+            ProductFrame((np.array([1.0, 1.0]),), np.arange(2).reshape(2), np.eye(1))
+
+
 class TestConstellationInvariants:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
@@ -111,6 +137,10 @@ class TestConstellationInvariants:
     def test_rejects_duplicate_points(self):
         with pytest.raises(ValueError):
             Constellation(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+    def test_non_finite_points_have_no_frame(self):
+        for bad in (np.nan, np.inf):
+            assert Constellation(np.array([[bad, 0.0], [1.0, 0.0]])).product_frame is None
 
     def test_rejects_bad_labels(self):
         pts = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -200,6 +230,61 @@ class TestSerialization:
         path.write_text('{"n": 3, "points": [[1.0, 2.0], [3.0, 4.0]]}')
         with pytest.raises(ValueError):
             load(path)
+
+    def test_rotated_frame_roundtrip(self, tmp_path):
+        x = rotate(normalize_energy(make_qam_product(64, 2), 12.0),
+                   rotation_at(skew_family(2), math.radians(30.0)))
+        path = tmp_path / "x.json"
+        save(x, path)
+        back = load(path)
+        assert np.array_equal(back.points, x.points) and back.labels == x.labels
+        f, g = x.product_frame, back.product_frame
+        assert all(np.array_equal(a, b) for a, b in zip(f.levels, g.levels))
+        assert np.array_equal(f.index, g.index) and np.array_equal(f.rotation, g.rotation)
+
+    @pytest.mark.parametrize("edit", ["level", "rotation", "nan-point"])
+    def test_load_rejects_a_frame_off_the_points(self, tmp_path, edit):
+        x = rotate(make_qam_product(16, 1), rotation_at(skew_family(1), 0.4))
+        path = tmp_path / "x.json"
+        save(x, path)
+        doc = json.loads(path.read_text())
+        if edit == "level":
+            doc["frame"]["levels"][0][1] += 1e-9
+        elif edit == "nan-point":  # NaN sorts into the last cell, where point 15 belongs
+            doc["points"][15][0] = math.nan
+        else:  # still orthogonal to 1e-10, but no longer the points' rotation
+            a = 1e-9
+            r = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+            doc["frame"]["rotation"] = (np.array(doc["frame"]["rotation"]) @ r).tolist()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="gives back the points"):
+            load(path)
+
+    @pytest.mark.parametrize("frame", [
+        {"levels": [[-3, -1, 1, 3], [-3, -1, 1, 3]], "rotation": [[1, 0], [0, 2]]},
+        {"levels": [[-3, 1, -1, 3], [-3, -1, 1, 3]], "rotation": [[1, 0], [0, 1]]},
+        {"levels": [[-3, -1, 1, 3]], "rotation": [[1, 0], [0, 1]]},
+        {"levels": [[-3, -1, 1, 3], [-3, -1, 1, 3]]},
+        [1, 2],
+    ], ids=["not-a-rotation", "levels-not-ascending", "wrong-dimension", "no-rotation",
+            "not-an-object"])
+    def test_load_rejects_a_malformed_frame(self, tmp_path, frame):
+        doc = {"n": 2, "points": make_qam_product(16, 1).points.tolist(), "frame": frame}
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            load(path)
+
+    def test_file_without_a_frame_is_detected(self, tmp_path):
+        x = normalize_energy(make_qam_product(16, 2), 8.0)
+        path = tmp_path / "x.json"
+        save(x, path)
+        doc = json.loads(path.read_text())
+        del doc["frame"]
+        path.write_text(json.dumps(doc))
+        f = load(path).product_frame
+        assert all(np.array_equal(a, b) for a, b in zip(f.levels, x.product_frame.levels))
+        assert np.array_equal(f.index, x.product_frame.index)
 
     def test_points_csv(self, tmp_path):
         x = make_qam_product(4, 1)

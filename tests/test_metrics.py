@@ -119,6 +119,32 @@ class TestPairDifferenceCache:
             assert np.allclose(zc, z, rtol=0, atol=1e-15) and np.array_equal(cc, counts)
         assert x.pair_differences[0] is z
 
+    @pytest.mark.parametrize("M,half_dims,t1,t2", [(4, 2, 60.0, 25.0), (16, 1, 13.0, 71.0),
+                                                   (64, 1, 45.0, 45.0)])
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_twice_rotated_report_matches_naive_oracles(self, M, half_dims, t1, t2, renormalize):
+        # the frame composes the two rotations, so the set is z (Q2 Q1)^T
+        # where the points are (x Q1^T) Q2^T: equal up to rounding
+        x = normalize_energy(make_qam_product(M, half_dims), 2.0 * half_dims)
+        fam = skew_family((2 * half_dims).bit_length() - 1)
+        q1, q2 = (rotation_at(fam, math.radians(t)) for t in (t1, t2))
+        y = rotate(rotate(x, q1), q2)
+        if renormalize:
+            y = normalize_energy(y, 3.0)
+        assert len(y.pair_differences[0]) < y.m * (y.m - 1)  # the product set, not raw pairs
+        ch = ChannelSpec.from_ebn0_db(8.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptyBallWarning)
+            rep = compute_report(y, ch, radii=(1.0, 2.0, math.inf))
+        assert rep.cutoff_rate == pytest.approx(
+            naive_cutoff_rate(y.points, y.q_bits, ch.N0), rel=1e-12)
+        for r in rep.radii:
+            assert rep.local_cutoff_rate[r] == pytest.approx(
+                naive_local_cutoff_rate(y.points, y.q_bits, r, ch.N0), rel=1e-12)
+            assert rep.diversity[r] == naive_diversity(y.points, r)
+            assert rep.min_product[r] == pytest.approx(
+                naive_min_product_distance(y.points, r), rel=1e-12)
+
     @given(st.lists(st.integers(0, 2), min_size=1, max_size=4).filter(lambda e: 0 < sum(e) <= 5),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -395,11 +421,11 @@ class TestReport:
             assert (rep.min_product[r], rep.min_product_normalized[r]) == alone[r][2]
 
         # one multiset build per report, whatever the number of radii: that of
-        # the unrotated parent, whose set a fresh rotated constellation carries
+        # the rotated constellation itself, from its product frame
         calls = []
         build = difference_multiset
         monkeypatch.setattr("rotcon.metrics.difference_multiset",
-                            lambda points: calls.append(1) or build(points))
+                            lambda *a, **k: calls.append(1) or build(*a, **k))
         xr = rotate(normalize_energy(make_qam_product(16, 1), 4.0),
                     rotation_at(skew_family(1), 0.4))
         with warnings.catch_warnings():
