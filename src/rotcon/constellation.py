@@ -293,12 +293,19 @@ def load(path) -> Constellation:
     """
     with open(path) as fh:
         doc = json.load(fh)
-    pts = np.array(doc["points"], dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != doc["n"]:
+    try:
+        pts = np.array(doc["points"], dtype=float)
+        n, labels, frame = doc["n"], doc.get("labels"), doc.get("frame")
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"malformed constellation file: {e!r}") from None
+    if pts.ndim != 2 or pts.shape[1] != n:
         raise ValueError("points do not match the declared dimension")
-    frame = None if doc.get("frame") is None else _read_frame(doc["frame"], pts)
+    if labels is not None and not (isinstance(labels, list)
+                                   and all(isinstance(b, str) for b in labels)):
+        raise ValueError("labels must be a list of bit strings")
+    frame = None if frame is None else _read_frame(frame, pts)
     # the constructor makes a tuple of a list of labels
-    return Constellation(pts, doc.get("labels"), _frame=frame)
+    return Constellation(pts, labels, _frame=frame)
 
 
 def save_points_csv(x: Constellation, path) -> None:

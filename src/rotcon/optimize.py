@@ -1,8 +1,8 @@
 """Rotation and non-uniformity optimizers for the cutoff-rate objective.
 
-Three routes: exhaustive search over the one-parameter rotation family,
-the closed-form low-SNR optimum, geodesic descent over all of SO(n), and
-steepest ascent on the non-uniformity parameters of a 2D constellation.
+Four routes: exhaustive search over the one-parameter rotation family,
+the closed-form low-SNR optimum, descent by Cayley steps over all of SO(n),
+and steepest ascent on the non-uniformity parameters of a 2D constellation.
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ def default_start_rotation(n: int) -> RotationMatrix:
 def optimize_rotation_full(
     x: Constellation, ch: ChannelSpec, q0: RotationMatrix | None = None, max_iters: int = 5000
 ) -> DescentTrace:
-    """Geodesic descent on f(Q) = -R(Q X) over all of SO(n).
+    """Descent on f(Q) = -R(Q X) over all of SO(n) (`geodesic_descent`).
 
     Finds a local optimum; the reported objective values in the trace are
     those of f (negated rate).

@@ -68,6 +68,17 @@ class TestGenCommand:
     def test_missing_file_is_input_error(self, tmp_path):
         assert main(["gen", "--file", str(tmp_path / "nope.json")]) == 3
 
+    @pytest.mark.parametrize("doc", [
+        {"n": 2},
+        {"points": [[1.0, 0.0], [-1.0, 0.0]]},
+        {"n": 2, "points": [[1.0, 0.0], [-1.0, 0.0]], "labels": [0, 1]},
+    ], ids=["no-points", "no-n", "integer-labels"])
+    def test_malformed_file_is_input_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["metrics", "--file", str(path), "--ebn0-db", "8"]) == 3
+        assert capsys.readouterr().out == ""
+
     def test_rotation_of_another_dimension_is_input_error(self, tmp_path, capsys):
         qpath = tmp_path / "q2.csv"
         save_rotation_csv(rotation_at(skew_family(1), 0.3), qpath)
@@ -151,6 +162,7 @@ class TestOptRotationCommand:
                      "--mode", "manifold"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["mode"] == "manifold"
+        assert doc["converged"] and doc["reason"] == "gradient-tolerance"
         assert "log_rotation" in doc
 
 
