@@ -29,6 +29,7 @@ from .constellation import Constellation, ProductFrame
 from .metrics import ChannelSpec, rate_from_pair_sum
 
 _CHUNK_SYMBOLS = 2048
+_DECODE_BYTES = 1 << 29  # the sphere search splits a batch whose candidates would need more
 MIN_BITS = 10**4  # the smallest bit budget per Eb/N0 point of `ber_monte_carlo`
 
 _log = logging.getLogger("rotcon")
@@ -127,15 +128,15 @@ def ml_decode(x: Constellation, y: np.ndarray, h: FadeVector) -> int | np.ndarra
 
     A constellation with a product frame is searched by `_sphere_decode`,
     any other point set by `_brute_force`; both decide by the same metric.
+    A received vector that is not finite is a ValueError.
     """
     y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("received vector must have finite entries")
     y2 = np.atleast_2d(y)
     h2 = np.broadcast_to(h.h, y2.shape)
-    frame = x.product_frame
-    if frame is None:
-        dec = _brute_force(x.points, y2, h2)
-    else:
-        dec = _sphere_decode(frame, x.points, y2, h2)
+    dec = (_brute_force(x.points, y2, h2) if x.frame is None
+           else _sphere_decode(x.frame, x.points, y2, h2))
     return int(dec[0]) if y.ndim == 1 else dec
 
 
@@ -213,6 +214,10 @@ def _sphere_decode(frame: ProductFrame, pts: np.ndarray, y: np.ndarray,
     e = r[:, n].T[sym]
     for j in reversed(range(n)):
         lv = levels[j]
+        # at up to 32n + 64 bytes a candidate, a batch past _DECODE_BYTES goes in halves
+        if c > 1 and len(sym) * len(lv) * (32 * n + 64) > _DECODE_BYTES:
+            return np.concatenate([_sphere_decode(frame, pts, yh, hh) for yh, hh
+                                   in zip(np.array_split(y, 2), np.array_split(h, 2))])
         t = e[:, j, None] - r[j, j][sym, None] * lv
         t *= t
         s, i = np.nonzero(t <= left[:, None])
@@ -295,7 +300,7 @@ def ber_monte_carlo(
         raise ValueError("bit error counting requires a labeled constellation")
     if min_bits < MIN_BITS:
         raise ValueError(f"min_bits must be at least {MIN_BITS}")
-    if x.product_frame is None:
+    if x.frame is None:
         _log.info("ber_monte_carlo: brute-force ML decoding for m=%d, n=%d: the points "
                   "are not a rotated Cartesian product of their axis levels", x.m, x.n)
     bits = np.frombuffer("".join(x.labels).encode(), dtype=np.uint8).reshape(x.m, x.q_bits)

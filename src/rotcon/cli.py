@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .channel import MIN_BITS, ber_monte_carlo
 from .constellation import (
+    SUPPORTED_QAM_ORDERS,
     Constellation,
     NuqamParams,
     load,
@@ -49,10 +50,11 @@ def _provenance(args) -> dict:
 
 def _add_constellation_args(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--qam", type=int, metavar="M", help="per-2D modulation order")
+    src.add_argument("--qam", type=int, choices=SUPPORTED_QAM_ORDERS, metavar="M",
+                     help="per-2D modulation order")
     src.add_argument("--nuqam", metavar="A1,A2,...", help="non-uniform 2D levels")
     src.add_argument("--file", metavar="PATH", help="constellation JSON file")
-    p.add_argument("--half-dims", type=int, default=1, help="number of 2D slots for --qam")
+    p.add_argument("--half-dims", type=_count_at_least(1), default=1, help="2D slots for --qam")
     p.add_argument("--no-normalize", action="store_true",
                    help="skip normalization to average energy P = q")
     rot = p.add_mutually_exclusive_group()
@@ -71,14 +73,12 @@ def _bad_input():
 
 
 def _build_constellation(args) -> Constellation:
-    with _bad_input():
-        if args.qam is not None:
-            x = make_qam_product(args.qam, args.half_dims)
-        elif args.nuqam is not None:
-            alpha = tuple(float(v) for v in args.nuqam.split(","))
-            x = make_nuqam(NuqamParams(alpha))
-        else:
-            x = load(args.file)
+    if args.qam is not None:  # argparse checked it: a ValueError is a size refused (exit 4)
+        x = make_qam_product(args.qam, args.half_dims)
+    else:
+        with _bad_input():
+            x = load(args.file) if args.nuqam is None else make_nuqam(
+                NuqamParams(tuple(float(v) for v in args.nuqam.split(","))))
     if not args.no_normalize:
         x = normalize_energy(x, float(x.q_bits))
     if args.rotate_csv:

@@ -7,9 +7,9 @@ multiset on first use.
 
 A constellation that is a rotated Cartesian product of per-axis levels, as
 every QAM and NUQAM design is, knows it through one `ProductFrame`: the
-generators build it, `normalize_energy` scales its levels, `rotate`
-composes its rotation, `save` writes it and `load` checks it against the
-points.  Any other point set is searched for a frame once, when it is made.
+generators build it, `normalize_energy` scales its levels, `rotate` composes
+its rotation and `save` writes it; `ProductFrame.fit` checks a loaded frame
+against the points and fits any other point set to its own levels, once.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from .liegroup import RotationMatrix
 
 SUPPORTED_QAM_ORDERS = (4, 16, 64, 256, 1024)
-_FRAME_TOL = 1e-12  # how closely a loaded frame must give back the file's points, relative
+_FRAME_TOL = 1e-12  # how closely a fitted frame must give back the points, relative
 
 
 def _check_levels(levels) -> None:
@@ -56,37 +56,54 @@ class ProductFrame:
             a.flags.writeable = False
 
     @classmethod
-    def detect(cls, points: np.ndarray) -> "ProductFrame | None":
-        """The frame of distinct finite points that are the full product of their axis levels.
+    def fit(cls, points: np.ndarray, levels: tuple[np.ndarray, ...],
+            rotation: np.ndarray) -> "ProductFrame":
+        """The frame of points on the grid of `levels` under `rotation`, else ValueError.
 
-        None for any other point set.
+        Each point goes to the nearest cell of the grid in its unrotated
+        coordinates `rotation^T p`.  The grid must have n axes, one point in
+        each cell, and give back every point to _FRAME_TOL of the largest.
         """
         m, n = points.shape
-        levels = tuple(np.unique(points[:, i]) for i in range(n))
-        shape = tuple(len(v) for v in levels)
-        if math.prod(shape) != m or not np.all(np.isfinite(points)):
+        if rotation.shape != (n, n) or len(levels) != n:
+            raise ValueError(f"the frame is not {n}-dimensional")
+        _check_levels(levels)
+        shape = tuple(len(lv) for lv in levels)
+        if math.prod(shape) != m:
+            raise ValueError(f"the frame has {math.prod(shape)} cells for {m} points")
+        u = points @ rotation
+        cells = [np.searchsorted((lv[1:] + lv[:-1]) / 2, u[:, i]) for i, lv in enumerate(levels)]
+        index = np.full(m, -1, dtype=np.intp)
+        index[np.ravel_multi_index(cells, shape)] = np.arange(m)
+        if np.any(index < 0):
+            raise ValueError("two points fall in one cell of the frame")
+        grid = np.stack([lv[c] for lv, c in zip(levels, cells)], axis=1)
+        err = np.max(np.abs(grid @ rotation.T - points))
+        if not err <= _FRAME_TOL * np.max(np.abs(points)):  # NaN fails too
+            raise ValueError(f"the frame gives back the points only to {err:.3g}")
+        return cls(levels, index.reshape(shape), rotation)
+
+    @classmethod
+    def detect(cls, points: np.ndarray) -> "ProductFrame | None":
+        """The unrotated frame of points that fill the grid of their axis levels, else None."""
+        try:
+            return cls.fit(points, tuple(map(np.unique, points.T)), np.eye(points.shape[1]))
+        except ValueError:
             return None
-        # distinct points on a grid of m cells fill it, so the keys are a permutation
-        keys = np.ravel_multi_index(
-            [np.searchsorted(v, points[:, i]) for i, v in enumerate(levels)], shape)
-        index = np.empty(m, dtype=np.intp)
-        index[keys] = np.arange(m)
-        return cls(levels, index.reshape(shape), np.eye(n))
 
 
 @dataclass(frozen=True)
 class Constellation:
     """m distinct points in R^n with m a power of two; labels are q-bit strings.
 
-    The library's own constructors pass `_frame`, a frame they built or
-    checked, which also shows the points distinct.  Without one, the points
-    are checked for duplicates and searched for a frame by
-    `ProductFrame.detect`.
+    `frame` is the points' product frame, built with them or fitted by
+    `ProductFrame.fit`, or else found by `ProductFrame.detect`.  A frame holds
+    one point per cell, so only a set without one is checked for duplicates.
     """
 
     points: np.ndarray
     labels: tuple[str, ...] | None = None
-    _frame: ProductFrame | None = field(default=None, kw_only=True, repr=False, compare=False)
+    frame: ProductFrame | None = field(default=None, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)  # a copy: the caller's array stays writeable
@@ -95,10 +112,10 @@ class Constellation:
         m = pts.shape[0]
         if m == 0 or m & (m - 1) != 0:
             raise ValueError(f"constellation size {m} is not a power of two")
-        if self._frame is None:
-            if len({tuple(p) for p in pts}) != m:
+        if self.frame is None:
+            object.__setattr__(self, "frame", ProductFrame.detect(pts))
+            if self.frame is None and len({tuple(p) for p in pts}) != m:
                 raise ValueError("constellation points must be pairwise distinct")
-            object.__setattr__(self, "_frame", ProductFrame.detect(pts))
         if self.labels is not None:
             labels = tuple(self.labels)
             q = self.q_bits_of(m)
@@ -133,11 +150,6 @@ class Constellation:
         """Average squared norm of the points."""
         return float(np.mean(np.sum(self.points**2, axis=1)))
 
-    @property
-    def product_frame(self) -> ProductFrame | None:
-        """The product frame of the points, or None for any other point set."""
-        return self._frame
-
     @cached_property
     def pair_differences(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (Z, counts) of `metrics.difference_multiset`, built on first use.
@@ -147,7 +159,7 @@ class Constellation:
         """
         from .metrics import difference_multiset
 
-        z, counts = difference_multiset(self.points, _frame=self._frame)
+        z, counts = difference_multiset(self.points, self.frame)
         z.flags.writeable = counts.flags.writeable = False
         return z, counts
 
@@ -174,15 +186,23 @@ def _gray_bits(index: int, width: int) -> str:
 def _axes_product(levels: tuple[np.ndarray, ...]) -> Constellation:
     """Cartesian product of ascending PAM axes, the first axis slowest.
 
-    Labels concatenate the per-axis Gray codes in the same order.
+    Labels concatenate the per-axis Gray codes in the same order.  A product
+    whose points and labels need more than `metrics._RAW_PAIR_BYTES` is refused.
     """
+    from .metrics import _RAW_PAIR_BYTES
+
     n = len(levels)
     shape = tuple(len(lv) for lv in levels)
+    m = math.prod(shape)
+    need = m * (8 * n + 57 + Constellation.q_bits_of(m))  # a label: a q-byte str and its slot
+    if need > _RAW_PAIR_BYTES:
+        raise ValueError(f"the {m} points in n={n} dimensions and their labels need about "
+                         f"{need} bytes (limit {_RAW_PAIR_BYTES})")
     pts = np.stack(np.meshgrid(*levels, indexing="ij"), axis=-1).reshape(-1, n)
     gray = [[_gray_bits(i, Constellation.q_bits_of(k)) for i in range(k)] for k in shape]
     labels = tuple(map("".join, itertools.product(*gray)))
-    frame = ProductFrame(levels, np.arange(len(pts)).reshape(shape), np.eye(n))
-    return Constellation(pts, labels, _frame=frame)
+    frame = ProductFrame(levels, np.arange(m).reshape(shape), np.eye(n))
+    return Constellation(pts, labels, frame=frame)
 
 
 def qam_levels(M: int) -> np.ndarray:
@@ -219,20 +239,20 @@ def normalize_energy(x: Constellation, target: float) -> Constellation:
     if e == 0:
         raise ValueError("cannot normalize an all-zero constellation")
     scale = np.sqrt(target / e)
-    f = x.product_frame
+    f = x.frame
     if f is not None:
         f = ProductFrame(tuple(lv * scale for lv in f.levels), f.index, f.rotation)
-    return Constellation(x.points * scale, x.labels, _frame=f)
+    return Constellation(x.points * scale, x.labels, frame=f)
 
 
 def rotate(x: Constellation, q: RotationMatrix) -> Constellation:
     """Apply a rotation to every point; labels carry over, a frame's rotation composes."""
     if q.n != x.n:
         raise ValueError(f"rotation is {q.n}-dimensional, constellation is {x.n}")
-    f = x.product_frame
+    f = x.frame
     if f is not None:
         f = ProductFrame(f.levels, f.index, q.entries @ f.rotation)
-    return Constellation(x.points @ q.entries.T, x.labels, _frame=f)
+    return Constellation(x.points @ q.entries.T, x.labels, frame=f)
 
 
 def save(x: Constellation, dest) -> None:
@@ -248,54 +268,27 @@ def save(x: Constellation, dest) -> None:
     doc = {"n": x.n, "points": x.points.tolist()}
     if x.labels is not None:
         doc["labels"] = list(x.labels)
-    f = x.product_frame
+    f = x.frame
     if f is not None:
         doc["frame"] = {"levels": [lv.tolist() for lv in f.levels],
                         "rotation": f.rotation.tolist()}
     json.dump(doc, dest)
 
 
-def _read_frame(doc, pts: np.ndarray) -> ProductFrame:
-    """The frame a file declares, if it is a rotation of a level grid whose
-    cells hold one point each, every point within _FRAME_TOL of its cell
-    (relative to the largest coordinate); else ValueError."""
-    m, n = pts.shape
-    try:
-        rotation = RotationMatrix(np.array(doc["rotation"], dtype=float)).entries
-        levels = tuple(np.array(lv, dtype=float) for lv in doc["levels"])
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"malformed frame: {e!r}") from None
-    if rotation.shape != (n, n) or len(levels) != n:
-        raise ValueError(f"the frame is not {n}-dimensional")
-    _check_levels(levels)
-    shape = tuple(len(lv) for lv in levels)
-    if math.prod(shape) != m:
-        raise ValueError(f"the frame has {math.prod(shape)} cells for {m} points")
-    # each point's nearest level on each axis of the unrotated coordinates R^T p
-    u = pts @ rotation
-    cells = [np.searchsorted((lv[1:] + lv[:-1]) / 2, u[:, i]) for i, lv in enumerate(levels)]
-    index = np.full(m, -1, dtype=np.intp)
-    index[np.ravel_multi_index(cells, shape)] = np.arange(m)
-    if np.any(index < 0):
-        raise ValueError("two points fall in one cell of the frame")
-    err = np.max(np.abs(np.stack([lv[c] for lv, c in zip(levels, cells)], axis=1) @ rotation.T
-                        - pts))
-    if not err <= _FRAME_TOL * np.max(np.abs(pts)):  # NaN fails too
-        raise ValueError(f"the frame gives back the points only to {err:.3g}")
-    return ProductFrame(levels, index.reshape(shape), rotation)
-
-
 def load(path) -> Constellation:
     """Read a constellation from JSON, re-validating all invariants; null labels mean none.
 
-    A "frame" field is checked against the points; a file without one is
-    searched for a frame as any point set is.
+    A "frame" field is fitted to the points by `ProductFrame.fit`; a file
+    without one is searched for a frame as any point set is.
     """
     with open(path) as fh:
         doc = json.load(fh)
     try:
         pts = np.array(doc["points"], dtype=float)
         n, labels, frame = doc["n"], doc.get("labels"), doc.get("frame")
+        if frame is not None:
+            frame = (tuple(np.array(lv, dtype=float) for lv in frame["levels"]),
+                     RotationMatrix(np.array(frame["rotation"], dtype=float)).entries)
     except (KeyError, TypeError) as e:
         raise ValueError(f"malformed constellation file: {e!r}") from None
     if pts.ndim != 2 or pts.shape[1] != n:
@@ -303,9 +296,9 @@ def load(path) -> Constellation:
     if labels is not None and not (isinstance(labels, list)
                                    and all(isinstance(b, str) for b in labels)):
         raise ValueError("labels must be a list of bit strings")
-    frame = None if frame is None else _read_frame(frame, pts)
+    frame = None if frame is None else ProductFrame.fit(pts, *frame)
     # the constructor makes a tuple of a list of labels
-    return Constellation(pts, labels, _frame=frame)
+    return Constellation(pts, labels, frame=frame)
 
 
 def save_points_csv(x: Constellation, path) -> None:

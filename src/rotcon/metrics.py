@@ -6,7 +6,7 @@ carries (`Constellation.pair_differences`).  `difference_multiset` builds it
 once per constellation: a rotated Cartesian product of axis levels (QAM,
 NUQAM, any rotation or rescaling of one, a product file) gives the product
 of its small axis multisets under the rotation of its `ProductFrame`, the
-frame the ML decoder searches too; any other point set gives its raw pairs.
+frame the ML decoder searches too; a point set without one gives raw pairs.
 Every rational pair term, the optimizers' too, comes from
 `rational_weights`, which `pair_sum_rational` sums.
 Nothing here is random: the fade-conditioned bounds `r0_conditional` and
@@ -26,7 +26,7 @@ from .constellation import Constellation, ProductFrame
 from .liegroup import RotationMatrix
 
 COORDINATE_TOL = 1e-9
-_RAW_PAIR_BYTES = 1 << 30
+_RAW_PAIR_BYTES = 1 << 30  # the most a generated product, or any pair multiset, may take
 
 _log = logging.getLogger("rotcon")
 
@@ -67,28 +67,30 @@ def _axis_multiset(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return reps, np.bincount(gid[inv.reshape(-1)]), zero
 
 
-def difference_multiset(points: np.ndarray, _frame: ProductFrame | None = None
+def difference_multiset(points: np.ndarray, frame: ProductFrame | None = None
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Distinct nonzero ordered-pair differences x - y with multiplicities.
 
-    Returns (Z, counts) with Z of shape (u, n).  Points with a product frame
-    (`_frame`, from a constellation that has one, else `ProductFrame.detect`)
-    give the product of the axis multisets of its levels, whose coordinates
-    are merged within 1e-12 relative, rotated as the frame is, so the values
-    agree with the raw pair differences up to float noise.  Any other point
-    set gives its m(m - 1) raw pairs, says so at INFO on the "rotcon"
-    logger, and raises ValueError if they would take more than 1 GiB
+    Returns (Z, counts) with Z of shape (u, n).  Points with a product
+    `frame` (that of their constellation) give the product of the axis
+    multisets of its levels, whose coordinates are merged within 1e-12
+    relative, rotated as the frame is, so the values agree with the raw pair
+    differences up to float noise.  With no frame, the points give their
+    m(m - 1) raw pairs and say so at INFO on the "rotcon" logger.  Either
+    way, ValueError if the result would take more than 1 GiB
     (`_RAW_PAIR_BYTES`).
     """
     pts = np.asarray(points, dtype=float)
-    frame = ProductFrame.detect(pts) if _frame is None else _frame
     m, n = pts.shape
     if frame is None:
-        need = m * m * (16 * n + 9)  # the m^2 x n differences, their copy and counts
-        if need > _RAW_PAIR_BYTES:
-            raise ValueError(f"the raw pair differences of m={m} points in n={n} "
-                             f"dimensions need about {need} bytes "
-                             f"(limit {_RAW_PAIR_BYTES})")
+        kind, need = "raw", m * m * (16 * n + 9)  # the m^2 x n differences, their copy and counts
+    else:
+        axes = [_axis_multiset(lv) for lv in frame.levels]
+        kind, need = "product", math.prod(len(reps) for reps, _, _ in axes) * (8 * n + 8)
+    if need > _RAW_PAIR_BYTES:
+        raise ValueError(f"the {kind} pair differences of m={m} points in n={n} "
+                         f"dimensions need about {need} bytes (limit {_RAW_PAIR_BYTES})")
+    if frame is None:
         _log.info("difference_multiset: raw pairs for m=%d, n=%d: the points are not "
                   "a rotated Cartesian product of axis levels", m, n)
         z = (pts[:, None, :] - pts[None, :, :])[~np.eye(m, dtype=bool)]
@@ -96,8 +98,7 @@ def difference_multiset(points: np.ndarray, _frame: ProductFrame | None = None
 
     # zero: the row of the all-zero difference, that of the m pairs x = y
     z, counts, zero = np.empty((1, 0)), np.ones(1, dtype=np.int64), 0
-    for lv in frame.levels:
-        reps, c, zi = _axis_multiset(lv)
+    for reps, c, zi in axes:
         k = len(reps)
         z = np.column_stack([np.repeat(z, k, axis=0), np.tile(reps, len(z))])
         counts = np.outer(counts, c).reshape(-1)

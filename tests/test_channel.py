@@ -132,6 +132,17 @@ class TestMlDecode:
         h = FadeVector(np.ones(2))
         assert ml_decode(x, np.zeros(2), h) == 0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_received_vectors(self, bad):
+        # the sphere search of a product frame and brute force alike
+        for x in (_qam(16, 2, 30.0), random_constellation(np.random.default_rng(2), 16, 4)):
+            y = np.zeros((2, 4))
+            y[1, 0] = bad
+            with pytest.raises(ValueError, match="finite"):
+                ml_decode(x, y[1], FadeVector(np.ones(4)))
+            with pytest.raises(ValueError, match="finite"):
+                ml_decode(x, y, FadeVector(np.ones((2, 4))))
+
     def test_batch_matches_direct_argmin(self):
         x = normalize_energy(make_qam_product(16, 2), 4.0)
         x = rotate(x, rotation_at(skew_family(2), math.radians(30.0)))
@@ -182,14 +193,14 @@ class TestSphereDecoder:
         q1 = rotation_at(skew_family(2), math.radians(60.0))
         q2 = rotation_at(skew_family(2), math.radians(25.0))
         y = rotate(rotate(x, q1), q2)
-        f = y.product_frame
-        assert f.levels is x.product_frame.levels and f.index is x.product_frame.index
-        assert np.array_equal(rotate(x, q1).product_frame.rotation, q1.entries)
+        f = y.frame
+        assert f.levels is x.frame.levels and f.index is x.frame.index
+        assert np.array_equal(rotate(x, q1).frame.rotation, q1.entries)
         assert np.array_equal(f.rotation, q2.entries @ q1.entries)
         u = np.stack(np.meshgrid(*f.levels, indexing="ij"), axis=-1).reshape(-1, 4)
         assert np.allclose(y.points[f.index.reshape(-1)], u @ f.rotation.T,
                            rtol=0, atol=1e-14)
-        g = normalize_energy(y, 2.0).product_frame
+        g = normalize_energy(y, 2.0).frame
         assert g.index is f.index and g.rotation is f.rotation
         scale = math.sqrt(2.0 / y.energy)
         assert all(np.array_equal(a, b * scale) for a, b in zip(g.levels, f.levels))
@@ -209,9 +220,30 @@ class TestSphereDecoder:
         assert np.array_equal(dec, _brute_argmin(x, y, h))
         assert ml_decode(x, y[0], FadeVector(h[0])) == dec[0]
 
+    @pytest.fixture
+    def batch_sizes(self, monkeypatch):
+        """The batch size of every `_sphere_decode` call, halves included."""
+        sizes = []
+        search = rotcon.channel._sphere_decode
+        monkeypatch.setattr("rotcon.channel._sphere_decode",
+                            lambda *a: sizes.append(len(a[2])) or search(*a))
+        return sizes
+
+    def test_batches_over_the_byte_budget_decode_in_halves(self, batch_sizes, monkeypatch):
+        # at -10 dB most candidates survive; a 64 KiB budget splits each
+        # chunk down to a few symbols, and the decisions stay brute force's
+        monkeypatch.setattr("rotcon.channel._DECODE_BYTES", 1 << 16)
+        _assert_decisions_match(_qam(64, 2, 30.0), -10.0, 4096, seed=1)
+        assert min(batch_sizes) < 64 and len(batch_sizes) > 2
+
+    @pytest.mark.parametrize("M", [16, 64])
+    def test_the_byte_budget_holds_a_chunk_at_10_db(self, M, batch_sizes):
+        _assert_decisions_match(_qam(M, 2, 30.0), 10.0, 4096, seed=2)
+        assert batch_sizes == [2048, 2048]
+
     def test_non_product_takes_brute_force(self, monkeypatch):
         x = random_constellation(np.random.default_rng(4), 64, 4)
-        assert x.product_frame is None
+        assert x.frame is None
         calls = []
         brute = rotcon.channel._brute_force
         monkeypatch.setattr("rotcon.channel._brute_force",

@@ -124,6 +124,16 @@ class TestMetricsCommand:
             assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv, what", [
+        (["--qam", "64", "--half-dims", "4"], "16777216 points in n=8 dimensions"),
+        (["--qam", "4", "--half-dims", "8"], "product pair differences of m=65536"),
+    ], ids=["64qam-8d-points", "4qam-16d-pairs"])
+    def test_sizes_over_the_byte_budget_exit_4(self, argv, what, capsys):
+        # refused before allocating: 2.4 GB of points and labels, 5.9 GB of pairs
+        assert main(["metrics", *argv, "--ebn0-db", "10"]) == 4
+        out = capsys.readouterr()
+        assert out.out == "" and len(out.err.splitlines()) == 1 and what in out.err
+
 
 class TestOptRotationCommand:
     def test_grid_mode(self, tmp_path, capsys):
@@ -283,6 +293,8 @@ class TestOptionsAndValues:
         ["ber", "--qam", "4", "--ebn0-db", "10", "--min-bits", "1e5"],
         ["opt-nuqam", "--q-bits", "4", "--ebn0-db", "8", "--restarts", "-3"],
         ["opt-nuqam", "--q-bits", "4", "--ebn0-db", "8", "--restarts", "x"],
+        ["gen", "--qam", "5"],
+        ["gen", "--qam", "4", "--half-dims", "0"],
     ])
     def test_bad_value_is_usage_error_before_output(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -319,11 +331,12 @@ class TestFileRoundtrip:
 
     def test_rotated_file_feeds_metrics_and_ber(self, tmp_path, capsys, monkeypatch):
         # its frame comes back with it, so neither command meets the 16.7 M
-        # raw pairs or brute-force decoding
+        # raw pairs or brute-force decoding; the budget holds the 50,624
+        # product rows (2 MB) and the points, not the raw pairs (1.2 GB)
         path = tmp_path / "r64.json"
         assert main(["gen", "--qam", "64", "--half-dims", "2", "--rotate-t-deg", "30",
                      "--format", "json", "--out", str(path)]) == 0
-        monkeypatch.setattr("rotcon.metrics._RAW_PAIR_BYTES", 1000)
+        monkeypatch.setattr("rotcon.metrics._RAW_PAIR_BYTES", 1 << 24)
         reports = []
         for source in (["--file", str(path), "--no-normalize"],
                        ["--qam", "64", "--half-dims", "2", "--rotate-t-deg", "30"]):

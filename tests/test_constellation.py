@@ -11,16 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotcon import (
+    ChannelSpec,
     Constellation,
     NuqamParams,
     make_nuqam,
     make_qam_product,
+    ml_decode,
     normalize_energy,
     rotate,
     rotation_at,
     skew_family,
 )
+from rotcon.channel import FadeVector
 from rotcon.constellation import ProductFrame, load, qam_levels, save, save_points_csv
+from rotcon.metrics import compute_report
 
 
 class TestReadOnlyPoints:
@@ -109,7 +113,7 @@ class TestGeneratedFrames:
                                    make_nuqam(NuqamParams((0.3, 1.0, 1.4, 2.5)))])
     def test_generated_frame_is_the_detected_one(self, x):
         found = ProductFrame.detect(x.points)
-        f = x.product_frame
+        f = x.frame
         assert all(np.array_equal(a, b) for a, b in zip(f.levels, found.levels))
         assert np.array_equal(f.index, found.index)
         assert np.array_equal(f.rotation, np.eye(x.n))
@@ -122,7 +126,24 @@ class TestGeneratedFrames:
     def test_scaled_levels_are_the_detected_ones(self):
         x = normalize_energy(make_qam_product(64, 2), 12.0)
         found = ProductFrame.detect(x.points)
-        assert all(np.array_equal(a, b) for a, b in zip(x.product_frame.levels, found.levels))
+        assert all(np.array_equal(a, b) for a, b in zip(x.frame.levels, found.levels))
+
+    def test_product_over_the_byte_budget_is_refused(self):
+        # 64-QAM 8D: 2^24 points of 8 coordinates and 24-bit labels
+        with pytest.raises(ValueError, match="need about 2432696320 bytes"):
+            make_qam_product(64, 4)
+
+    def test_a_frameless_set_is_searched_once(self, monkeypatch):
+        # built, reported and decoded: only the constructor looks for a frame
+        calls = []
+        detect = ProductFrame.detect
+        monkeypatch.setattr(ProductFrame, "detect",
+                            staticmethod(lambda pts: calls.append(1) or detect(pts)))
+        x = Constellation(np.random.default_rng(0).normal(size=(16, 2)))
+        assert x.frame is None
+        compute_report(x, ChannelSpec.from_ebn0_db(8.0))
+        ml_decode(x, np.zeros((3, 2)), FadeVector(np.ones((3, 2))))
+        assert len(calls) == 1
 
     def test_levels_that_collapse_are_refused(self):
         with pytest.raises(ValueError):
@@ -140,7 +161,7 @@ class TestConstellationInvariants:
 
     def test_non_finite_points_have_no_frame(self):
         for bad in (np.nan, np.inf):
-            assert Constellation(np.array([[bad, 0.0], [1.0, 0.0]])).product_frame is None
+            assert Constellation(np.array([[bad, 0.0], [1.0, 0.0]])).frame is None
 
     def test_rejects_bad_labels(self):
         pts = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -238,7 +259,7 @@ class TestSerialization:
         save(x, path)
         back = load(path)
         assert np.array_equal(back.points, x.points) and back.labels == x.labels
-        f, g = x.product_frame, back.product_frame
+        f, g = x.frame, back.frame
         assert all(np.array_equal(a, b) for a, b in zip(f.levels, g.levels))
         assert np.array_equal(f.index, g.index) and np.array_equal(f.rotation, g.rotation)
 
@@ -282,9 +303,9 @@ class TestSerialization:
         doc = json.loads(path.read_text())
         del doc["frame"]
         path.write_text(json.dumps(doc))
-        f = load(path).product_frame
-        assert all(np.array_equal(a, b) for a, b in zip(f.levels, x.product_frame.levels))
-        assert np.array_equal(f.index, x.product_frame.index)
+        f = load(path).frame
+        assert all(np.array_equal(a, b) for a, b in zip(f.levels, x.frame.levels))
+        assert np.array_equal(f.index, x.frame.index)
 
     def test_points_csv(self, tmp_path):
         x = make_qam_product(4, 1)

@@ -82,7 +82,8 @@ class TestDifferenceMultiset:
         with caplog.at_level(logging.INFO, logger="rotcon"), warnings.catch_warnings():
             warnings.simplefilter("error")
             z, _ = difference_multiset(x.points)
-            difference_multiset(make_qam_product(16, 2).points)  # compressed: no record
+            q = make_qam_product(16, 2)
+            difference_multiset(q.points, q.frame)  # compressed: no record
         assert len(z) == x.m * (x.m - 1)
         records = [r for r in caplog.records if r.name == "rotcon"]
         assert [r.levelno for r in records] == [logging.INFO]
@@ -91,8 +92,15 @@ class TestDifferenceMultiset:
     def test_survives_scaling_noise(self):
         # scaled grids must still collapse to the small difference alphabet
         x = normalize_energy(make_qam_product(64, 1), 6.0)
-        z, _ = difference_multiset(x.points)
+        z, _ = difference_multiset(x.points, x.frame)
         assert len(z) == 15 * 15 - 1
+
+    def test_product_over_the_byte_budget_is_refused(self):
+        # 4-QAM 16D: 3^16 - 1 product rows of 16 coordinates, about 5.9 GB
+        x = make_qam_product(4, 8)
+        with pytest.raises(ValueError, match="product pair differences of m=65536 points "
+                                             "in n=16 dimensions need about 5854354056 bytes"):
+            x.pair_differences
 
     def test_symmetric_multiset(self):
         x = make_qam_product(4, 2)
