@@ -198,7 +198,7 @@ def _axes_product(levels: tuple[np.ndarray, ...]) -> Constellation:
     if need > _RAW_PAIR_BYTES:
         raise ValueError(f"the {m} points in n={n} dimensions and their labels need about "
                          f"{need} bytes (limit {_RAW_PAIR_BYTES})")
-    pts = np.stack(np.meshgrid(*levels, indexing="ij"), axis=-1).reshape(-1, n)
+    pts = np.stack(np.meshgrid(*levels, indexing="ij", copy=False), axis=-1).reshape(-1, n)
     gray = [[_gray_bits(i, Constellation.q_bits_of(k)) for i in range(k)] for k in shape]
     labels = tuple(map("".join, itertools.product(*gray)))
     frame = ProductFrame(levels, np.arange(m).reshape(shape), np.eye(n))

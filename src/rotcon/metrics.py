@@ -15,6 +15,7 @@ Nothing here is random: the fade-conditioned bounds `r0_conditional` and
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import warnings
@@ -52,19 +53,19 @@ class ChannelSpec:
         return cls(N0=10.0 ** (-db / 10.0), ebn0_db=db)
 
 
-def _axis_multiset(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Distinct level differences a - b of one axis, their counts, and the index of 0.
+def _axis_multiset(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct level differences a - b of one axis and their counts, 0.0 first.
 
-    Differences within 1e-12 relative of each other (float noise of scaled
-    levels) merge into one, represented by its smallest member, or by
-    exactly 0.0 for the one that holds the pairs a = b.
+    0.0 holds the k pairs a = b.  Nonzero differences within 1e-12 relative
+    of each other (float noise of scaled levels) merge into one, represented
+    by its smallest member.
     """
-    dv, inv = np.unique(levels[:, None] - levels[None, :], return_inverse=True)
-    gid = np.concatenate([[0], np.cumsum(np.diff(dv) > 1e-12 * float(np.max(np.abs(dv))))])
-    reps = dv[np.searchsorted(gid, np.arange(gid[-1] + 1))]
-    zero = int(gid[np.searchsorted(dv, 0.0)])
-    reps[zero] = 0.0
-    return reps, np.bincount(gid[inv.reshape(-1)]), zero
+    k = len(levels)
+    dv, inv = np.unique((levels[:, None] - levels[None, :])[~np.eye(k, dtype=bool)],
+                        return_inverse=True)
+    new = np.diff(dv, prepend=-np.inf) > 1e-12 * float(np.max(np.abs(dv), initial=0.0))
+    return (np.concatenate([[0.0], dv[new]]),
+            np.concatenate([[k], np.bincount((np.cumsum(new) - 1)[inv])]))
 
 
 def difference_multiset(points: np.ndarray, frame: ProductFrame | None = None
@@ -73,7 +74,7 @@ def difference_multiset(points: np.ndarray, frame: ProductFrame | None = None
 
     Returns (Z, counts) with Z of shape (u, n).  Points with a product
     `frame` (that of their constellation) give the product of the axis
-    multisets of its levels, whose coordinates are merged within 1e-12
+    multisets of its levels, whose nonzero coordinates are merged within 1e-12
     relative, rotated as the frame is, so the values agree with the raw pair
     differences up to float noise.  With no frame, the points give their
     m(m - 1) raw pairs and say so at INFO on the "rotcon" logger.  Either
@@ -85,8 +86,8 @@ def difference_multiset(points: np.ndarray, frame: ProductFrame | None = None
     if frame is None:
         kind, need = "raw", m * m * (16 * n + 9)  # the m^2 x n differences, their copy and counts
     else:
-        axes = [_axis_multiset(lv) for lv in frame.levels]
-        kind, need = "product", math.prod(len(reps) for reps, _, _ in axes) * (8 * n + 8)
+        reps, cs = zip(*(_axis_multiset(lv) for lv in frame.levels))
+        kind, need = "product", math.prod(map(len, reps)) * (8 * n + 8)
     if need > _RAW_PAIR_BYTES:
         raise ValueError(f"the {kind} pair differences of m={m} points in n={n} "
                          f"dimensions need about {need} bytes (limit {_RAW_PAIR_BYTES})")
@@ -96,18 +97,14 @@ def difference_multiset(points: np.ndarray, frame: ProductFrame | None = None
         z = (pts[:, None, :] - pts[None, :, :])[~np.eye(m, dtype=bool)]
         return z, np.ones(len(z), dtype=np.int64)
 
-    # zero: the row of the all-zero difference, that of the m pairs x = y
-    z, counts, zero = np.empty((1, 0)), np.ones(1, dtype=np.int64), 0
-    for reps, c, zi in axes:
-        k = len(reps)
-        z = np.column_stack([np.repeat(z, k, axis=0), np.tile(reps, len(z))])
-        counts = np.outer(counts, c).reshape(-1)
-        zero = zero * k + zi
-    z, counts = np.delete(z, zero, axis=0), np.delete(counts, zero)
-    # z @ Q^T is the expression `rotate` applies to the points; an unrotated
-    # set is kept as built, with no copy
+    # 0.0 is first on every axis, so row 0, dropped, is that of the m pairs x = y
+    z = np.stack(np.meshgrid(*reps, indexing="ij", copy=False), axis=-1).reshape(-1, n)[1:]
+    counts = functools.reduce(np.multiply.outer, cs).reshape(-1)[1:]
+    # z @ Q^T, the expression `rotate` applies to the points, taken in place in
+    # blocks of rows, so Z is allocated once; an unrotated set is kept as built
     if not np.array_equal(frame.rotation, np.eye(n)):
-        z = z @ frame.rotation.T
+        for b in np.split(z, range(1 << 16, len(z), 1 << 16)):
+            b[:] = b @ frame.rotation.T
     return z, counts
 
 
@@ -173,7 +170,8 @@ def min_product_distance(x: Constellation, r: float = math.inf) -> tuple[float, 
     if len(az) == 0:
         warnings.warn(f"no pair within radius {r}; empty-min convention", EmptyBallWarning)
         return math.inf, math.inf
-    dp = float(np.min(np.prod(np.where(az > COORDINATE_TOL, az, 1.0), axis=1)))
+    az[az <= COORDINATE_TOL] = 1.0  # az is this call's own copy: no second |Z|-sized one
+    dp = float(np.min(np.prod(az, axis=1)))
     return dp, dp ** (1.0 / x.n)
 
 

@@ -77,9 +77,10 @@ def _t_invariant_classes(z, counts, a):
     The term of z at t is a product over i of a function of
     (cos(t) z_i + sin(t) (Az)_i)^2, so it depends only on the multiset of
     coordinate pairs (z_i, (Az)_i), each taken up to sign.  Rows with the
-    same such multiset (quantized at 2^-44 of max|z|, tighter than the
-    1e-12 relative merge of axis levels in `difference_multiset`) form one
-    class.  Returns one row of z and of Az per class and the summed counts.
+    same such multiset (quantized at 2^-44 of max|z|, finer than the 1e-12
+    relative merge of nonzero axis differences in `difference_multiset`) form
+    one class.  Returns each class's lexicographically least row of z (whatever
+    order z is in), that row of Az, and the summed counts.
     """
     za = z @ a.T
     scale = 2.0**44 / float(np.max(np.abs(z)))
@@ -89,8 +90,8 @@ def _t_invariant_classes(z, counts, a):
     p[(p.real < 0) | ((p.real == 0) & (p.imag < 0))] *= -1
     p.sort(axis=1)  # complex values sort by real part, then imaginary part
     keys = p.view(float)
-    # rows in lexicographic order; the sort is stable, so a class starts at its first row
-    order = np.lexsort(keys.T[::-1])
+    # rows in lexicographic order of (keys, z), so a class starts at its smallest row
+    order = np.lexsort((*z.T[::-1], *keys.T[::-1]))
     sk = keys[order]
     new = np.concatenate([[True], np.any(sk[1:] != sk[:-1], axis=1)])
     inv = np.empty(len(z), dtype=np.intp)

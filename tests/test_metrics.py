@@ -2,6 +2,7 @@
 
 import logging
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,11 +13,13 @@ from hypothesis import strategies as st
 from rotcon import (
     ChannelSpec,
     Constellation,
+    NuqamParams,
     cutoff_rate,
     diversity_order,
     high_snr_sum,
     is_locally_fully_diverse,
     local_cutoff_rate,
+    make_nuqam,
     make_qam_product,
     min_product_distance,
     normalize_energy,
@@ -101,6 +104,40 @@ class TestDifferenceMultiset:
         with pytest.raises(ValueError, match="product pair differences of m=65536 points "
                                              "in n=16 dimensions need about 5854354056 bytes"):
             x.pair_differences
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_nuqam(NuqamParams((1.0, 1.0 + 1e-13))),
+        lambda: Constellation(np.stack(np.meshgrid([0.0, 1.0, 1.0 + 2.0**-52, 10.0], [0.0, 1.0],
+                                                   indexing="ij"), axis=-1).reshape(-1, 2)),
+    ], ids=["nuqam", "grid"])
+    def test_levels_closer_than_the_merge_keep_their_pairs(self, build):
+        # their nonzero differences merge within 1e-12 relative, but never into 0
+        x = build()
+        assert x.frame is not None
+        _, counts = x.pair_differences
+        assert counts.sum() == x.m * (x.m - 1)
+        ch = ChannelSpec(0.3)
+        assert cutoff_rate(x, ch) == pytest.approx(
+            naive_cutoff_rate(x.points, x.q_bits, ch.N0), rel=1e-12)
+
+    def test_a_one_level_axis_matches_raw_pairs(self):
+        x = Constellation(np.array([[0, 0, 0], [0, 1, 0], [1, 0, 0], [1, 1, 0]], dtype=float))
+        assert [len(lv) for lv in x.frame.levels] == [2, 2, 1]
+        z, counts = difference_multiset(x.points, x.frame)
+        raw, _ = difference_multiset(x.points)
+        assert sorted(map(tuple, np.repeat(z, counts, axis=0))) == sorted(map(tuple, raw))
+
+    def test_the_product_set_is_allocated_once(self):
+        # the build's peak is Z and its counts, with no second full-size copy
+        x = make_qam_product(256, 2)
+        for y in (x, rotate(x, rotation_at(skew_family(2), math.radians(30.0)))):
+            tracemalloc.start()
+            try:
+                z, counts = difference_multiset(y.points, y.frame)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.2 * (z.nbytes + counts.nbytes)
 
     def test_symmetric_multiset(self):
         x = make_qam_product(4, 2)

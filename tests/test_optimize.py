@@ -30,6 +30,7 @@ from rotcon.metrics import pair_sum_rational
 from rotcon.optimize import (
     _nuqam_rate_and_gradient,
     _rate_and_gradient,
+    _t_invariant_classes,
     default_nuqam_init,
     default_start_rotation,
 )
@@ -118,6 +119,15 @@ class TestGridSearch:
         # ties go to the smaller t, on the profile and on the oracle
         assert res.t_opt == ts[int(np.argmax([r for _, r in res.profile]))]
         assert res.t_opt == ts[int(np.argmax(oracle))]
+
+    def test_classes_do_not_depend_on_the_row_order(self):
+        # each class is represented by its lexicographically least row
+        z, counts = normalize_energy(make_qam_product(16, 2), 8.0).pair_differences
+        a = skew_family(2).A.entries
+        perm = np.random.default_rng(0).permutation(len(z))
+        for got, want in zip(_t_invariant_classes(z[perm], counts[perm], a),
+                             _t_invariant_classes(z, counts, a)):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("m_axis, half_dims, classes", [(16, 2, 116), (4, 4, 33)])
     def test_kernel_sees_one_row_per_class(self, monkeypatch, m_axis, half_dims, classes):
