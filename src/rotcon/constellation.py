@@ -3,7 +3,7 @@
 A constellation is a set of m = 2^q distinct points, optionally carrying a
 Gray bit labeling.  All operations return new values; instances are
 immutable and their points read-only, so each caches its pair-difference
-multiset on first use.
+multiset, and the rotation family's classes of it, on first use.
 
 A constellation that is a rotated Cartesian product of per-axis levels, as
 every QAM and NUQAM design is, knows it through one `ProductFrame`: the
@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .liegroup import RotationMatrix
+from .liegroup import RotationMatrix, skew_family
 
 SUPPORTED_QAM_ORDERS = (4, 16, 64, 256, 1024)
 _FRAME_TOL = 1e-12  # how closely a fitted frame must give back the points, relative
@@ -162,6 +162,22 @@ class Constellation:
         z, counts = difference_multiset(self.points, self.frame)
         z.flags.writeable = counts.flags.writeable = False
         return z, counts
+
+    @cached_property
+    def family_classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (z, Az, counts) of `optimize._t_invariant_classes`, built on first use.
+
+        The pair differences merged into classes whose rotation-family terms
+        are equal at every t, A the generator of `skew_family` in this
+        dimension; every grid search over t on this constellation reads them.
+        """
+        from .optimize import _power_of_two_exponent, _t_invariant_classes
+
+        a = skew_family(_power_of_two_exponent(self.n)).A.entries
+        classes = _t_invariant_classes(*self.pair_differences, a)
+        for a in classes:
+            a.flags.writeable = False
+        return classes
 
 
 @dataclass(frozen=True)

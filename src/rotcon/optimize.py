@@ -19,14 +19,15 @@ from .liegroup import (
     SkewMatrix,
     expm_skew,
     geodesic_descent,
-    skew_family,
 )
-from .metrics import (ChannelSpec, cutoff_rate, pair_sum_rational, rate_from_pair_sum,
-                      rational_weights)
+from .metrics import ChannelSpec, cutoff_rate, rate_from_pair_sum, rational_weights
 # re-exported: the benchmark's tracer test patches and reads it here
 from .metrics import difference_multiset as difference_multiset
 
 _START_EPS = 1e-4  # off-diagonal size of the default descent start's generator
+# rotated coordinates per block of the family grid (64 KiB): the kernel's
+# temporaries stay this small too, whatever the grid's length
+_BLOCK_DOUBLES = 8192
 
 
 @dataclass(frozen=True)
@@ -109,30 +110,41 @@ def grid_search_t(
     """Maximize the cutoff rate of the rotated constellation over t in [0, pi/2].
 
     Evaluates R(Q(t) X) on the uniform grid; ties break toward smaller t.
-    The constellation's pair-difference multiset is merged into classes
-    whose terms are equal at every t (`_t_invariant_classes`); each sample
-    rotates one row per class, weighted by the class count.
+    The differences come merged into classes whose terms are equal at every
+    t (`x.family_classes`, built once per constellation).  The grid goes
+    through `rational_weights` in blocks of t, one row per class and t, each
+    block's rotated coordinates at most _BLOCK_DOUBLES; each t's pair sum is
+    then one dot product with the class counts.
     """
-    k = _power_of_two_exponent(x.n)
+    _power_of_two_exponent(x.n)
     if not 0 < grid_step <= math.pi / 4:
         raise ValueError("grid_step must be in (0, pi/4]")
-    z, counts = x.pair_differences
-    if len(z) == 0:
+    if len(x.pair_differences[0]) == 0:
         raise ValueError("degenerate constellation: no distinct pairs")
-    z, za, cf = _t_invariant_classes(z, counts, skew_family(k).A.entries)
-    q = x.q_bits
+    z, za, cf = x.family_classes
+    q, n, c = x.q_bits, x.n, len(cf)
 
     ts = np.arange(0.0, math.pi / 2 + grid_step / 2, grid_step)
     ts = ts[ts <= math.pi / 2 + 1e-15]
+    b = max(1, _BLOCK_DOUBLES // (n * c))
+    zt, zat = z.T[:, None, :], za.T[:, None, :]
     best_t, best_r = 0.0, -math.inf
     profile = [] if keep_profile else None
-    for t in ts:
-        u = math.cos(t) * z + math.sin(t) * za  # z @ Q(t).T, since Q(t) = cos(t) I + sin(t) A
-        r = rate_from_pair_sum(q, pair_sum_rational(u, cf, ch.N0))
-        if r > best_r:
-            best_t, best_r = float(t), r
-        if profile is not None:
-            profile.append((float(t), r))
+    for start in range(0, len(ts), b):
+        block = ts[start:start + b]
+        cos = np.array([math.cos(t) for t in block])[:, None]
+        sin = np.array([math.sin(t) for t in block])[:, None]
+        # u[i, j] is coordinate i of z @ Q(t_j).T, since Q(t) = cos(t) I + sin(t) A
+        u = zt * cos + zat * sin
+        # rows stored by column (see rational_weights); a dot per t gives the
+        # bits of one kernel call per t, which a batched p @ cf does not
+        p = rational_weights(u.reshape(n, -1).T, ch.N0)[1].reshape(len(block), c)
+        for t, pt in zip(block, p):
+            r = rate_from_pair_sum(q, float(np.dot(cf, pt)))
+            if r > best_r:
+                best_t, best_r = float(t), r
+            if profile is not None:
+                profile.append((float(t), r))
     return TSearchResult(t_opt=best_t, objective=best_r, grid_step=grid_step, profile=profile)
 
 

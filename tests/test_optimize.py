@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotcon import (
@@ -26,7 +26,7 @@ from rotcon import (
 )
 from rotcon import optimize
 from rotcon.liegroup import RotationMatrix, SkewMatrix, expm_skew
-from rotcon.metrics import pair_sum_rational
+from rotcon.metrics import pair_sum_rational, rate_from_pair_sum, rational_weights
 from rotcon.optimize import (
     _nuqam_rate_and_gradient,
     _rate_and_gradient,
@@ -131,18 +131,51 @@ class TestGridSearch:
 
     @pytest.mark.parametrize("m_axis, half_dims, classes", [(16, 2, 116), (4, 4, 33)])
     def test_kernel_sees_one_row_per_class(self, monkeypatch, m_axis, half_dims, classes):
+        # each kernel call takes a block of whole t-rows, one row per class
         seen = []
 
-        def counting(z, counts, n0):
-            seen.append((len(z), float(np.sum(counts))))
-            return pair_sum_rational(z, counts, n0)
+        def counting(z, n0):
+            seen.append(len(z))
+            return rational_weights(z, n0)
 
-        monkeypatch.setattr(optimize, "pair_sum_rational", counting)
+        monkeypatch.setattr(optimize, "rational_weights", counting)
         x = normalize_energy(make_qam_product(m_axis, half_dims), 8.0)
         res = grid_search_t(x, ChannelSpec.from_ebn0_db(8.0), grid_step=0.05,
                             keep_profile=True)
-        assert len(seen) == len(res.profile)
-        assert set(seen) == {(classes, float(x.m * (x.m - 1)))}
+        assert seen and all(rows % classes == 0 for rows in seen)
+        assert sum(seen) == classes * len(res.profile)
+
+    @pytest.mark.parametrize("m_axis, half_dims", [(16, 2), (4, 4), (64, 2)])
+    def test_blocks_give_the_bits_of_one_kernel_call_per_t(self, m_axis, half_dims):
+        # 158 grid points: not a multiple of the 17 and 31 t per block of 16-QAM
+        # 4D and 4-QAM 8D; 64-QAM 4D's 2,184 classes x 4 > 8,192 give one t a block
+        x = make_qam_product(m_axis, half_dims)
+        x = normalize_energy(x, float(x.q_bits))
+        ch = ChannelSpec.from_ebn0_db(9.0)
+        res = grid_search_t(x, ch, grid_step=1e-2, keep_profile=True)
+        z, za, cf = x.family_classes
+        want = [(t, rate_from_pair_sum(x.q_bits, pair_sum_rational(
+                    math.cos(t) * z + math.sin(t) * za, cf, ch.N0)))
+                for t in (float(t) for t in np.arange(0.0, math.pi / 2 + 5e-3, 1e-2))
+                if t <= math.pi / 2 + 1e-15]
+        assert len(want) == 158
+        assert res.profile == want
+        best = max(range(len(want)), key=lambda i: (want[i][1], -i))
+        assert (res.t_opt, res.objective) == want[best]
+
+    def test_classes_are_built_once_per_constellation(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return _t_invariant_classes(*args)
+
+        monkeypatch.setattr(optimize, "_t_invariant_classes", counting)
+        x = normalize_energy(make_qam_product(16, 2), 8.0)
+        for db in (4.0, 8.0, 12.0):
+            grid_search_t(x, ChannelSpec.from_ebn0_db(db), grid_step=0.05)
+        assert len(calls) == 1
+        assert not any(a.flags.writeable for a in x.family_classes)
 
 
 class TestGradient:
@@ -291,16 +324,19 @@ class TestNuqamRateAndGradient:
         assert rate == pytest.approx(self._rate(alpha, q_bits, ch), rel=1e-12, abs=0)
 
     @given(_nuqam_inputs())
+    # one level: the exact gradient is 0, the difference quotient a rounding error
+    @example(inputs=(np.array([0.01]), 2, 5.0))
     @settings(max_examples=20, deadline=None)
     def test_gradient_matches_finite_differences(self, inputs):
         alpha, q_bits, db = inputs
         ch = ChannelSpec.from_ebn0_db(db)
         _, grad = _nuqam_rate_and_gradient(alpha, q_bits, ch.N0)
-        # the rate is invariant to scaling alpha, so the step follows its scale
+        # the rate is invariant to scaling alpha, so the step and the compared
+        # values follow its scale: alpha[-1] * grad is scale-free
         h = 1e-6 * alpha[-1]
         for i in range(len(alpha)):
             ap, am = alpha.copy(), alpha.copy()
             ap[i] += h
             am[i] -= h
             fd = (self._rate(ap, q_bits, ch) - self._rate(am, q_bits, ch)) / (2 * h)
-            assert grad[i] == pytest.approx(fd, rel=2e-5, abs=1e-9)
+            assert alpha[-1] * grad[i] == pytest.approx(alpha[-1] * fd, rel=2e-5, abs=1e-9)
