@@ -112,8 +112,8 @@ def grid_search_t(
     Evaluates R(Q(t) X) on the uniform grid; ties break toward smaller t.
     The differences come merged into classes whose terms are equal at every
     t (`x.family_classes`, built once per constellation).  The grid goes
-    through `rational_weights` in blocks of t, one row per class and t, each
-    block's rotated coordinates at most _BLOCK_DOUBLES; each t's pair sum is
+    through `rational_weights` in blocks of t, one row per class and t, at
+    most 8,192 rotated coordinates (64 KiB) a block; each t's pair sum is
     then one dot product with the class counts.
     """
     _power_of_two_exponent(x.n)
