@@ -175,8 +175,8 @@ class Constellation:
 
         a = skew_family(_power_of_two_exponent(self.n)).A.entries
         classes = _t_invariant_classes(*self.pair_differences, a)
-        for a in classes:
-            a.flags.writeable = False
+        for arr in classes:
+            arr.flags.writeable = False
         return classes
 
 
