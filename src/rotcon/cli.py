@@ -2,7 +2,7 @@
 Eb/N0 sweeps, and BER simulation, emitting plot-ready CSV/JSON.
 
 Angles are accepted and reported in degrees; everything internal is radians.
-Exit codes: 0 success, 2 usage error, 3 bad input data, 4 numerical failure.
+Exit codes: 0 success, 2 usage error, 3 bad input data, 4 numerical failure or too large.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from .constellation import (
     save,
     save_points_csv,
 )
-from .liegroup import (RotationMatrix, load_rotation_csv, logm_rotation, rotation_at,
-                       save_rotation_csv, skew_family)
+from .liegroup import (RotationMatrix, _power_of_two_exponent, load_rotation_csv, logm_rotation,
+                       rotation_at, save_rotation_csv, skew_family)
 from .metrics import ChannelSpec, compute_report, cutoff_rate
-from .optimize import _power_of_two_exponent, grid_search_t, optimize_nuqam, optimize_rotation_full
+from .optimize import grid_search_t, optimize_nuqam, optimize_rotation_full
 
 
 class InputDataError(Exception):
@@ -355,8 +355,8 @@ def main(argv=None) -> int:
     except (InputDataError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (ValueError, FloatingPointError, np.linalg.LinAlgError) as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
+    except (ValueError, FloatingPointError, np.linalg.LinAlgError, MemoryError) as e:
+        print(f"numerical failure: {str(e) or type(e).__name__}", file=sys.stderr)
         return 4
 
 

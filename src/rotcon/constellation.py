@@ -2,8 +2,9 @@
 
 A constellation is a set of m = 2^q distinct points, optionally carrying a
 Gray bit labeling.  All operations return new values; instances are
-immutable and their points read-only, so each caches its pair-difference
-multiset, and the rotation family's classes of it, on first use.
+immutable and their points read-only, so each caches, on first use, its
+pair-difference multiset and the rotation family's classes of it; `metrics`
+builds and merges both.
 
 A constellation that is a rotated Cartesian product of per-axis levels, as
 every QAM and NUQAM design is, knows it through one `ProductFrame`: the
@@ -23,7 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .liegroup import RotationMatrix, skew_family
+from . import metrics
+from .liegroup import RotationMatrix, _power_of_two_exponent, skew_family
 
 SUPPORTED_QAM_ORDERS = (4, 16, 64, 256, 1024)
 _FRAME_TOL = 1e-12  # how closely a fitted frame must give back the points, relative
@@ -157,24 +159,21 @@ class Constellation:
         A constellation with a product frame gets the product of its axis
         multisets under the frame's rotation, whatever made it.
         """
-        from .metrics import difference_multiset
-
-        z, counts = difference_multiset(self.points, self.frame)
+        z, counts = metrics.difference_multiset(self.points, self.frame)
         z.flags.writeable = counts.flags.writeable = False
         return z, counts
 
     @cached_property
     def family_classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only (z, Az, counts) of `optimize._t_invariant_classes`, built on first use.
+        """Read-only (z, Az, counts) of `metrics._t_invariant_classes`, built on first use.
 
-        The pair differences merged into classes whose rotation-family terms
+        `pair_differences` merged into classes whose rotation-family terms
         are equal at every t, A the generator of `skew_family` in this
-        dimension; every grid search over t on this constellation reads them.
+        dimension (ValueError if the family has none); every grid search over
+        t on this constellation reads them.
         """
-        from .optimize import _power_of_two_exponent, _t_invariant_classes
-
         a = skew_family(_power_of_two_exponent(self.n)).A.entries
-        classes = _t_invariant_classes(*self.pair_differences, a)
+        classes = metrics._t_invariant_classes(*self.pair_differences, a)
         for arr in classes:
             arr.flags.writeable = False
         return classes
@@ -205,15 +204,13 @@ def _axes_product(levels: tuple[np.ndarray, ...]) -> Constellation:
     Labels concatenate the per-axis Gray codes in the same order.  A product
     whose points and labels need more than `metrics._RAW_PAIR_BYTES` is refused.
     """
-    from .metrics import _RAW_PAIR_BYTES
-
     n = len(levels)
     shape = tuple(len(lv) for lv in levels)
     m = math.prod(shape)
     need = m * (8 * n + 57 + Constellation.q_bits_of(m))  # a label: a q-byte str and its slot
-    if need > _RAW_PAIR_BYTES:
+    if need > metrics._RAW_PAIR_BYTES:
         raise ValueError(f"the {m} points in n={n} dimensions and their labels need about "
-                         f"{need} bytes (limit {_RAW_PAIR_BYTES})")
+                         f"{need} bytes (limit {metrics._RAW_PAIR_BYTES})")
     pts = np.stack(np.meshgrid(*levels, indexing="ij", copy=False), axis=-1).reshape(-1, n)
     gray = [[_gray_bits(i, Constellation.q_bits_of(k)) for i in range(k)] for k in shape]
     labels = tuple(map("".join, itertools.product(*gray)))

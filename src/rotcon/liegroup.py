@@ -108,19 +108,23 @@ def hadamard(k: int) -> np.ndarray:
     return h
 
 
+def _power_of_two_exponent(n: int) -> int:
+    """k with n = 2^k, n >= 2: the dimensions the rotation family exists in."""
+    k = n.bit_length() - 1
+    if n < 2 or 2**k != n:
+        raise ValueError(f"family rotation needs a power-of-two dimension, got {n}")
+    return k
+
+
 def skew_family(k: int) -> RotationFamily:
     """Rotation family in dimension 2^k generated by the Hadamard-block skew matrix.
 
     The integer matrix B is built by B_1 = [0], B_{2m} = [[B, H], [-H, B]]
     with H the order-m Hadamard matrix, then scaled by (2^k - 1)^(-1/2) so
-    that the generator squares to -I.
+    that the generator squares to -I.  B is antisymmetric and division is
+    sign-symmetric, so the scaled matrix is exactly antisymmetric.
     """
-    if not 1 <= k <= MAX_HADAMARD_K:
-        raise ValueError(f"k must be in 1..{MAX_HADAMARD_K}, got {k}")
-    b = skew_family_integer(k)
-    a = b / np.sqrt(2**k - 1)
-    a = 0.5 * (a - a.T)  # exact antisymmetry despite rounding
-    return RotationFamily(SkewMatrix(a))
+    return RotationFamily(SkewMatrix(skew_family_integer(k) / np.sqrt(2**k - 1)))
 
 
 def skew_family_integer(k: int) -> np.ndarray:

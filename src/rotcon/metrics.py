@@ -1,14 +1,14 @@
 """Rate, diversity, and distance functionals of a constellation.
 
-All pair sums run over ordered pairs (x, y), x != y, through the multiset of
-distinct difference vectors with multiplicities that each constellation
-carries (`Constellation.pair_differences`).  `difference_multiset` builds it
-once per constellation: a rotated Cartesian product of axis levels (QAM,
+This module owns the multiset of distinct pair differences x - y, x != y,
+with multiplicities.  `difference_multiset` builds it once per constellation
+(`Constellation.pair_differences`): a rotated product of axis levels (QAM,
 NUQAM, any rotation or rescaling of one, a product file) gives the product
-of its small axis multisets under the rotation of its `ProductFrame`, the
-frame the ML decoder searches too; a point set without one gives raw pairs.
-Every rational pair term, the optimizers' too, comes from
-`rational_weights`, which `pair_sum_rational` sums.
+of its axis multisets under its `ProductFrame`'s rotation; a point set
+without one gives raw pairs.  `_t_invariant_classes` merges it into the
+rotation family's classes (`Constellation.family_classes`), `_ball` keeps a
+closed ball of it, and every rational pair term, the optimizers' too, comes
+from `rational_weights`, which `pair_sum_rational` sums.
 Nothing here is random: the fade-conditioned bounds `r0_conditional` and
 `r0_expected_mc` live in `channel`, which owns the fading model.
 """
@@ -20,11 +20,13 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .constellation import Constellation, ProductFrame
-from .liegroup import RotationMatrix
+if TYPE_CHECKING:  # annotations only: `constellation` imports this module
+    from .constellation import Constellation, ProductFrame
+    from .liegroup import RotationMatrix
 
 COORDINATE_TOL = 1e-9
 _RAW_PAIR_BYTES = 1 << 30  # the most a generated product, or any pair multiset, may take
@@ -108,12 +110,45 @@ def difference_multiset(points: np.ndarray, frame: ProductFrame | None = None
     return z, counts
 
 
+def _t_invariant_classes(z, counts, a):
+    """Merge the differences whose rotation-family terms agree at every t.
+
+    The term of z at t is a product over i of a function of
+    (cos(t) z_i + sin(t) (Az)_i)^2, so it depends only on the multiset of
+    coordinate pairs (z_i, (Az)_i), each taken up to sign.  Rows with the
+    same such multiset (quantized at 2^-44 of max|z|, finer than the 1e-12
+    relative merge of nonzero axis differences in `_axis_multiset`) form
+    one class.  Returns each class's lexicographically least row of z (whatever
+    order z is in), that row of Az, and the summed counts.
+    """
+    za = z @ a.T
+    scale = 2.0**44 / float(np.max(np.abs(z)))
+    p = np.empty(z.shape, dtype=complex)
+    p.real = np.rint(z * scale)
+    p.imag = np.rint(za * scale)
+    p[(p.real < 0) | ((p.real == 0) & (p.imag < 0))] *= -1
+    p.sort(axis=1)  # complex values sort by real part, then imaginary part
+    keys = p.view(float)
+    # rows in lexicographic order of (keys, z), so a class starts at its smallest row
+    order = np.lexsort((*z.T[::-1], *keys.T[::-1]))
+    sk = keys[order]
+    new = np.concatenate([[True], np.any(sk[1:] != sk[:-1], axis=1)])
+    inv = np.empty(len(z), dtype=np.intp)
+    inv[order] = np.cumsum(new) - 1
+    first = order[new]
+    return z[first], za[first], np.bincount(inv, weights=counts)
+
+
 def rational_weights(z: np.ndarray, n0: float) -> tuple[np.ndarray, np.ndarray]:
     """Factors w = 1 / (1 + z^2 / (8 N0)) of each row of z, and their products.
 
-    w is stored in the order z is.  The products are the same bits either way;
-    narrow rows stored by column take them one column at a time, much faster."""
-    w = 1.0 / (1.0 + z**2 * (1.0 / (8.0 * n0)))
+    w is formed in place in one array the size of z, stored in the order z
+    is.  The products are the same bits either way; narrow rows stored by
+    column take them one column at a time, much faster."""
+    w = z * z
+    w *= 1.0 / (8.0 * n0)
+    w += 1.0
+    np.divide(1.0, w, out=w)
     return w, np.prod(w, axis=1)
 
 
@@ -128,31 +163,30 @@ def rate_from_pair_sum(q_bits: int, s: float) -> float:
 
 def cutoff_rate(x: Constellation, ch: ChannelSpec) -> float:
     """Closed-form cutoff rate of the constellation, in bits."""
+    return local_cutoff_rate(x, math.inf, ch)
+
+
+def _ball(x: Constellation, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """(Z, counts) of x's pairs in the closed ball of radius r: the cached arrays at r = inf."""
     z, counts = x.pair_differences
-    return rate_from_pair_sum(x.q_bits, pair_sum_rational(z, counts, ch.N0))
-
-
-def _within_radius(z: np.ndarray, r: float) -> np.ndarray | slice:
     if r == math.inf:
-        return slice(None)  # indexing with it gives a view, not a pair-sized copy
+        return z, counts
     if r <= 0:
         raise ValueError("radius must be positive")
     # closed ball with 1e-12 relative slack so pairs at exactly distance r
     # stay inside despite rotation round-off
-    return np.sum(z**2, axis=1) <= r * r * (1.0 + 1e-12)
+    keep = np.sum(z**2, axis=1) <= r * r * (1.0 + 1e-12)
+    return z[keep], counts[keep]
 
 
 def local_cutoff_rate(x: Constellation, r: float, ch: ChannelSpec) -> float:
     """Cutoff rate restricted to pairs within the closed ball of radius r."""
-    z, counts = x.pair_differences
-    keep = _within_radius(z, r)
-    return rate_from_pair_sum(x.q_bits, pair_sum_rational(z[keep], counts[keep], ch.N0))
+    return rate_from_pair_sum(x.q_bits, pair_sum_rational(*_ball(x, r), ch.N0))
 
 
 def diversity_order(x: Constellation, r: float = math.inf) -> int:
     """Minimum number of coordinates in which two points within r differ; n for an empty ball."""
-    z, _ = x.pair_differences
-    z = z[_within_radius(z, r)]
+    z, _ = _ball(x, r)
     if len(z) == 0:
         warnings.warn(f"no pair within radius {r}; empty-min convention", EmptyBallWarning)
         return x.n
@@ -165,8 +199,7 @@ def min_product_distance(x: Constellation, r: float = math.inf) -> tuple[float, 
     Returns (d_p, d_p ** (1/n)), the raw and dimension-normalized values;
     inf for an empty ball.
     """
-    z, _ = x.pair_differences
-    az = np.abs(z[_within_radius(z, r)])
+    az = np.abs(_ball(x, r)[0])
     if len(az) == 0:
         warnings.warn(f"no pair within radius {r}; empty-min convention", EmptyBallWarning)
         return math.inf, math.inf
@@ -227,7 +260,7 @@ class MetricsReport:
 def compute_report(
     x: Constellation, ch: ChannelSpec, radii: tuple[float, ...] = (2.0, math.inf)
 ) -> MetricsReport:
-    """Evaluate every metric at each requested radius from the one cached multiset."""
+    """Every metric at each radius from the one cached multiset, all of it summed once."""
     local_r, div, mp, mpn = {}, {}, {}, {}
     for r in radii:
         local_r[r] = local_cutoff_rate(x, r, ch)
@@ -236,7 +269,7 @@ def compute_report(
     return MetricsReport(
         q_bits=x.q_bits,
         n=x.n,
-        cutoff_rate=cutoff_rate(x, ch),
+        cutoff_rate=local_r[math.inf] if math.inf in local_r else cutoff_rate(x, ch),
         radii=list(radii),
         local_cutoff_rate=local_r,
         diversity=div,

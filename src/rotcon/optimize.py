@@ -17,6 +17,7 @@ from .liegroup import (
     DescentTrace,
     RotationMatrix,
     SkewMatrix,
+    _power_of_two_exponent,
     expm_skew,
     geodesic_descent,
 )
@@ -51,14 +52,6 @@ class AlphaDescentResult:
     reason: str  # "gradient-tolerance" | "max-iterations" | "step-underflow"
 
 
-def _power_of_two_exponent(n: int) -> int:
-    """k with n = 2^k, n >= 2: the dimensions the rotation family exists in."""
-    k = n.bit_length() - 1
-    if n < 2 or 2**k != n:
-        raise ValueError(f"family rotation needs a power-of-two dimension, got {n}")
-    return k
-
-
 def low_snr_optimal_t(n: int) -> float:
     """Closed-form family parameter maximizing the radius-2 local rate: arccos(1/sqrt(n))."""
     _power_of_two_exponent(n)
@@ -70,35 +63,6 @@ def g_of_t(n: int, ch: ChannelSpec, t: float) -> float:
     _power_of_two_exponent(n)
     c2, s2 = math.cos(t) ** 2, math.sin(t) ** 2
     return (1.0 + c2 / (2.0 * ch.N0)) * (1.0 + s2 / ((n - 1) * 2.0 * ch.N0)) ** (n - 1)
-
-
-def _t_invariant_classes(z, counts, a):
-    """Merge the differences whose family terms agree at every t.
-
-    The term of z at t is a product over i of a function of
-    (cos(t) z_i + sin(t) (Az)_i)^2, so it depends only on the multiset of
-    coordinate pairs (z_i, (Az)_i), each taken up to sign.  Rows with the
-    same such multiset (quantized at 2^-44 of max|z|, finer than the 1e-12
-    relative merge of nonzero axis differences in `difference_multiset`) form
-    one class.  Returns each class's lexicographically least row of z (whatever
-    order z is in), that row of Az, and the summed counts.
-    """
-    za = z @ a.T
-    scale = 2.0**44 / float(np.max(np.abs(z)))
-    p = np.empty(z.shape, dtype=complex)
-    p.real = np.rint(z * scale)
-    p.imag = np.rint(za * scale)
-    p[(p.real < 0) | ((p.real == 0) & (p.imag < 0))] *= -1
-    p.sort(axis=1)  # complex values sort by real part, then imaginary part
-    keys = p.view(float)
-    # rows in lexicographic order of (keys, z), so a class starts at its smallest row
-    order = np.lexsort((*z.T[::-1], *keys.T[::-1]))
-    sk = keys[order]
-    new = np.concatenate([[True], np.any(sk[1:] != sk[:-1], axis=1)])
-    inv = np.empty(len(z), dtype=np.intp)
-    inv[order] = np.cumsum(new) - 1
-    first = order[new]
-    return z[first], za[first], np.bincount(inv, weights=counts)
 
 
 def grid_search_t(

@@ -134,6 +134,19 @@ class TestMetricsCommand:
         out = capsys.readouterr()
         assert out.out == "" and len(out.err.splitlines()) == 1 and what in out.err
 
+    @pytest.mark.parametrize("error", [MemoryError(), MemoryError(
+        "Unable to allocate 481. MiB for an array with shape (15752960, 4) and data type float64")],
+        ids=["bare", "numpy-message"])
+    def test_out_of_memory_exits_4(self, error, capsys, monkeypatch):
+        # an input the byte checks admit that still exhausts memory: one line, no traceback
+        def exhaust(*args, **kwargs):
+            raise error
+        monkeypatch.setattr("rotcon.cli.compute_report", exhaust)
+        assert main(["metrics", "--qam", "4", "--ebn0-db", "10"]) == 4
+        out = capsys.readouterr()
+        assert out.out == "" and len(out.err.splitlines()) == 1
+        assert out.err.startswith("numerical failure: ")
+
 
 class TestOptRotationCommand:
     def test_grid_mode(self, tmp_path, capsys):

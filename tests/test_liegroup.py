@@ -83,6 +83,19 @@ class TestSkewFamily:
             a = skew_family(k).A.entries
             assert np.max(np.abs(a @ a + np.eye(2**k))) <= 1e-12
 
+    def test_generator_is_the_integer_one_scaled(self):
+        # B is antisymmetric in integers and division is sign-symmetric, so the
+        # scaled generator is exactly antisymmetric with no symmetrizing step
+        for k in range(1, 9):
+            a = skew_family(k).A.entries
+            assert np.array_equal(a, skew_family_integer(k) / math.sqrt(2**k - 1))
+            assert np.array_equal(a, -a.T)
+
+    @pytest.mark.parametrize("k", [0, 13])
+    def test_rejects_bad_exponent(self, k):
+        with pytest.raises(ValueError, match=f"k must be in 1..12, got {k}"):
+            skew_family(k)
+
 
 class TestRotationAt:
     def test_identity_at_zero(self):
@@ -252,6 +265,15 @@ class TestGeodesicDescent:
         trace = geodesic_descent(f_and_grad, rotation_at(skew_family(2), 0.0), max_iters=2)
         assert not trace.converged
         assert trace.reason == "max-iterations"
+
+    def test_step_underflow_reason(self):
+        # f is constant, so no step passes the Armijo test however small,
+        # while the fixed gradient's skew field stays nonzero
+        g = np.triu(np.ones((4, 4)), 1)
+        trace = geodesic_descent(lambda q: (0.0, g), rotation_at(skew_family(2), 0.3))
+        assert trace.iterates[-1][3] > 0
+        assert trace.reason == "step-underflow"
+        assert trace.converged is False
 
     def test_rejects_bad_step(self):
         target = rotation_at(skew_family(1), 0.5)

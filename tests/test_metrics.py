@@ -263,6 +263,17 @@ class TestCutoffRate:
             assert np.array_equal(w, w_rows)
             assert np.array_equal(p, np.prod(w_rows, axis=1))
 
+    def test_weights_take_one_array_the_size_of_z(self, rng):
+        # w is formed in place, so z^2 and w are never held at once
+        z = rng.normal(size=(200_000, 4))
+        tracemalloc.start()
+        try:
+            w, p = rational_weights(z, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= z.nbytes + p.nbytes + (64 << 10)
+
 
 class TestConditionalRate:
     def test_frozen_all_ones_fade(self):
@@ -477,3 +488,29 @@ class TestReport:
             warnings.simplefilter("ignore", EmptyBallWarning)
             compute_report(xr, ch, radii=radii)
         assert len(calls) == 1
+
+    def test_report_sums_the_whole_multiset_once(self, monkeypatch):
+        x = rotate(normalize_energy(make_qam_product(16, 2), 8.0),
+                   rotation_at(skew_family(2), 0.5))
+        ch = ChannelSpec.from_ebn0_db(10.0)
+        rows = []
+        monkeypatch.setattr("rotcon.metrics.pair_sum_rational",
+                            lambda z, *a: rows.append(len(z)) or pair_sum_rational(z, *a))
+        rep = compute_report(x, ch, (2.0, math.inf))
+        full = len(x.pair_differences[0])
+        assert len(rows) == 2 and rows.count(full) == 1
+        assert rep.cutoff_rate == rep.local_cutoff_rate[math.inf]
+
+    def test_report_peak_is_near_the_multiset(self):
+        # over the cached Z, a report holds at most one array of its size
+        # and the row products or ball mask beside it
+        x = make_qam_product(64, 2)
+        x = rotate(normalize_energy(x, float(x.q_bits)), rotation_at(skew_family(2), 0.5))
+        z, _ = x.pair_differences
+        tracemalloc.start()
+        try:
+            compute_report(x, ChannelSpec.from_ebn0_db(10.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * z.nbytes

@@ -24,13 +24,14 @@ from rotcon import (
     rotation_at,
     skew_family,
 )
-from rotcon import optimize
+from rotcon import metrics, optimize
 from rotcon.liegroup import RotationMatrix, SkewMatrix, expm_skew
-from rotcon.metrics import pair_sum_rational, rate_from_pair_sum, rational_weights
+from rotcon.metrics import (_t_invariant_classes, pair_sum_rational, rate_from_pair_sum,
+                            rational_weights)
 from rotcon.optimize import (
     _nuqam_rate_and_gradient,
+    _project_alpha,
     _rate_and_gradient,
-    _t_invariant_classes,
     default_nuqam_init,
     default_start_rotation,
 )
@@ -169,7 +170,7 @@ class TestGridSearch:
             calls.append(1)
             return _t_invariant_classes(*args)
 
-        monkeypatch.setattr(optimize, "_t_invariant_classes", counting)
+        monkeypatch.setattr(metrics, "_t_invariant_classes", counting)
         x = normalize_energy(make_qam_product(16, 2), 8.0)
         for db in (4.0, 8.0, 12.0):
             grid_search_t(x, ChannelSpec.from_ebn0_db(db), grid_step=0.05)
@@ -283,6 +284,11 @@ class TestNuqamAscent:
     def test_rejects_bad_q_bits(self):
         with pytest.raises(ValueError):
             optimize_nuqam(5, ChannelSpec.from_ebn0_db(8.0))
+
+    def test_projection_breaks_ties(self):
+        a = _project_alpha(np.array([1.0, 1.0]), 4)
+        assert np.all(np.diff(a) > 0)
+        assert 2.0 * np.mean(a**2) == pytest.approx(4.0, rel=1e-12)
 
     def test_objective_is_the_cutoff_rate_of_the_result(self):
         ch = ChannelSpec.from_ebn0_db(12.0)
