@@ -272,7 +272,7 @@ class TestCutoffRate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= z.nbytes + p.nbytes + (64 << 10)
+        assert peak <= w.nbytes + p.nbytes + (64 << 10)
 
 
 class TestConditionalRate:
