@@ -2,12 +2,14 @@
 
 The channel acts per real coordinate: y_i = h_i x_i + z_i with h_i Rayleigh
 (E[h^2] = 1, a fresh independent fade per transmitted vector) and z_i
-Gaussian with variance N0.  Only this module knows the fading model: the
-BER Monte Carlo and the fade-conditioned cutoff-rate bounds are built from
-`sample_fade`, `transmit` and `ml_decode`, which take one vector or a (c, n)
-batch.  Monte Carlo bit/symbol error counting is deterministic for a given
-seed: the random stream is split into fixed-size substreams per Eb/N0 point
-and per chunk, so results do not depend on how the work is partitioned.
+Gaussian with variance N0.  Only this module knows the fading model:
+`sample_fade`, `transmit`, `ml_decode` and the fade-conditioned cutoff rate
+`r0_conditional` take one vector or a (c, n) batch; the BER Monte Carlo is
+built from the first three, and `r0_expected_mc` is the mean of
+`r0_conditional` over one `sample_fade` draw.  Monte Carlo bit/symbol error
+counting is deterministic for a given seed: the random stream is split into
+fixed-size substreams per Eb/N0 point and per chunk, so results do not
+depend on how the work is partitioned.
 
 `ml_decode` has two paths with the same decisions.  A constellation with a
 product frame (an axis product such as QAM or NUQAM, or any rotation,
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import Constellation, ProductFrame
-from .metrics import ChannelSpec, rate_from_pair_sum
+from .metrics import ChannelSpec
 
 _CHUNK_SYMBOLS = 2048
 _DECODE_BYTES = 1 << 29  # the sphere search splits a batch whose candidates would need more
@@ -74,7 +76,6 @@ class BerReport:
     """Per-Eb/N0 error-rate rows from one Monte Carlo run."""
 
     rows: tuple[BerRow, ...]
-    rng_algorithm: str = "numpy-PCG64-spawned-substreams"
 
     def to_csv(self, dest) -> None:
         """Write the rows as CSV to a path or to an open text stream."""
@@ -242,41 +243,39 @@ def _sphere_decode(frame: ProductFrame, pts: np.ndarray, y: np.ndarray,
     return dec
 
 
-def _exp_pair_sums(zsq: np.ndarray, cf: np.ndarray, hsq: np.ndarray, n0: float) -> np.ndarray:
-    """Pair sums of exp(-sum_i z_i^2 h_i^2 / (8 N0)), one per row of the (c, n) squared fades."""
-    return np.exp(-zsq @ hsq.T / (8.0 * n0)).T @ cf
+def r0_conditional(x: Constellation, h: np.ndarray, ch: ChannelSpec) -> float | np.ndarray:
+    """Cutoff-rate bound in bits given the fade: a float for h of shape (n,), c rates for (c, n).
 
-
-def r0_conditional(x: Constellation, h: np.ndarray, ch: ChannelSpec) -> float:
-    """Cutoff-rate bound conditioned on a fixed fade vector h, in bits."""
-    h = FadeVector(h).h
-    if h.shape != (x.n,):
+    The pair sums of exp(-sum_i z_i^2 h_i^2 / (8 N0)) are taken in passes of
+    2^20 // u fades (u distinct differences), coordinate by coordinate and
+    fade by fade, without BLAS: a fade's rate has the same bits in any batch
+    and under any number of threads.
+    """
+    hv = FadeVector(h).h
+    if hv.shape[-1] != x.n:
         raise ValueError("fade vector must have n non-negative entries")
     z, counts = x.pair_differences
-    s = _exp_pair_sums(z**2, counts.astype(float), h[None, :] ** 2, ch.N0)
-    return rate_from_pair_sum(x.q_bits, float(s[0]))
+    zsq, cf, hsq, s = (z * z).T.copy(), counts.astype(float), np.atleast_2d(hv) ** 2, []
+    step = max(1, (1 << 20) // max(1, len(cf)))
+    for b in np.split(hsq, range(step, len(hsq), step)):
+        e = b[:, :1] * zsq[0]
+        for i in range(1, x.n):
+            e += b[:, i, None] * zsq[i]
+        e /= -8.0 * ch.N0
+        np.exp(e, out=e)
+        e *= cf
+        s.append(e.sum(axis=1))
+    rates = x.q_bits - np.log2(1.0 + np.concatenate(s) / 2.0**x.q_bits)
+    return float(rates[0]) if hv.ndim == 1 else rates
 
 
 def r0_expected_mc(
     x: Constellation, ch: ChannelSpec, num_channels: int, seed: int
 ) -> tuple[float, float]:
-    """Monte Carlo mean of the conditional bound over i.i.d. Rayleigh fades.
-
-    Fades come from `sample_fade`.  Returns (mean, standard error);
-    deterministic for a given seed.
-    """
+    """(mean, standard error) of `r0_conditional` over one seeded `sample_fade` draw."""
     if num_channels < 1:
         raise ValueError("num_channels must be at least 1")
-    rng = np.random.default_rng(seed)
-    z, counts = x.pair_differences
-    zsq, cf = z**2, counts.astype(float)
-    q = x.q_bits
-    vals = np.empty(num_channels)
-    chunk = max(1, min(num_channels, (1 << 24) // max(1, len(counts))))
-    for lo in range(0, num_channels, chunk):
-        c = min(chunk, num_channels - lo)
-        s = _exp_pair_sums(zsq, cf, sample_fade((c, x.n), rng).h ** 2, ch.N0)
-        vals[lo : lo + c] = q - np.log2(1.0 + s / 2.0**q)
+    vals = r0_conditional(x, sample_fade((num_channels, x.n), np.random.default_rng(seed)).h, ch)
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(num_channels)) if num_channels > 1 else 0.0
     return mean, stderr

@@ -86,8 +86,11 @@ class DescentTrace:
     """Record of a descent run on SO(n): (iteration, Q, f(Q), |X_f(Q)|_F) rows."""
 
     iterates: list[tuple[int, RotationMatrix, float, float]] = field(default_factory=list)
-    converged: bool = False
     reason: str = ""  # "gradient-tolerance" | "max-iterations" | "step-underflow"
+
+    @property
+    def converged(self) -> bool:
+        return self.reason == "gradient-tolerance"
 
     @property
     def final_rotation(self) -> RotationMatrix:
@@ -223,7 +226,6 @@ def geodesic_descent(
         gnorm = float(np.linalg.norm(xf))
         trace.iterates.append((it, rq, fval, gnorm))
         if gnorm <= grad_tol:
-            trace.converged = True
             trace.reason = "gradient-tolerance"
             return trace
         if it == max_iters:

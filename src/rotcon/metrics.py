@@ -174,8 +174,12 @@ def _ball(x: Constellation, r: float) -> tuple[np.ndarray, np.ndarray]:
     if r <= 0:
         raise ValueError("radius must be positive")
     # closed ball with 1e-12 relative slack so pairs at exactly distance r
-    # stay inside despite rotation round-off
-    keep = np.sum(z**2, axis=1) <= r * r * (1.0 + 1e-12)
+    # stay inside despite rotation round-off; the squares are summed one
+    # coordinate at a time, so no temporary the size of Z is made
+    d2 = z[:, 0] * z[:, 0]
+    for col in z.T[1:]:
+        d2 += col * col
+    keep = d2 <= r * r * (1.0 + 1e-12)
     return z[keep], counts[keep]
 
 

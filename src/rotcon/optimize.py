@@ -37,7 +37,6 @@ class TSearchResult:
 
     t_opt: float
     objective: float
-    grid_step: float
     profile: list[tuple[float, float]] | None = None
 
 
@@ -48,8 +47,11 @@ class AlphaDescentResult:
     alpha: NuqamParams
     objective: float
     iterations: int
-    converged: bool
     reason: str  # "gradient-tolerance" | "max-iterations" | "step-underflow"
+
+    @property
+    def converged(self) -> bool:
+        return self.reason == "gradient-tolerance"
 
 
 def low_snr_optimal_t(n: int) -> float:
@@ -109,7 +111,7 @@ def grid_search_t(
                 best_t, best_r = float(t), r
             if profile is not None:
                 profile.append((float(t), r))
-    return TSearchResult(t_opt=best_t, objective=best_r, grid_step=grid_step, profile=profile)
+    return TSearchResult(t_opt=best_t, objective=best_r, profile=profile)
 
 
 def cutoff_rate_gradient(x: Constellation, ch: ChannelSpec, q: RotationMatrix) -> np.ndarray:
@@ -237,7 +239,6 @@ def optimize_nuqam(
             alpha=params,
             objective=cutoff_rate(normalize_energy(make_nuqam(params), float(q_bits)), ch),
             iterations=it,
-            converged=reason == "gradient-tolerance",
             reason=reason,
         )
 

@@ -149,8 +149,17 @@ class TestGeneratedFrames:
         with pytest.raises(ValueError):
             ProductFrame((np.array([1.0, 1.0]),), np.arange(2).reshape(2), np.eye(1))
 
+    def test_fit_refuses_two_points_in_one_cell(self):
+        pts = np.array([[-3.0], [-1.0], [1.0], [1.1]])
+        with pytest.raises(ValueError, match="two points fall in one cell"):
+            ProductFrame.fit(pts, (np.array([-3.0, -1.0, 1.0, 3.0]),), np.eye(1))
+
 
 class TestConstellationInvariants:
+    def test_rejects_points_that_are_not_a_matrix(self):
+        with pytest.raises(ValueError, match="points must be an m x n array"):
+            Constellation(np.zeros(4))
+
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             Constellation(np.arange(6.0).reshape(3, 2))
@@ -198,6 +207,11 @@ class TestNormalizeEnergy:
     def test_bad_target(self):
         with pytest.raises(ValueError):
             normalize_energy(make_qam_product(4, 1), 0.0)
+
+    def test_rejects_an_all_zero_set(self):
+        # one point at the origin: m = 1 is a power of two, and its energy is 0
+        with pytest.raises(ValueError, match="all-zero constellation"):
+            normalize_energy(Constellation(np.zeros((1, 2))), 1.0)
 
 
 class TestRotate:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import rotcon
 from rotcon import (
+    RotationFamily,
     RotationMatrix,
     SkewMatrix,
     expm_skew,
@@ -127,6 +128,17 @@ class TestRotationAt:
 
 
 class TestStructuredTypes:
+    @pytest.mark.parametrize("cls, match", [(SkewMatrix, "skew matrix must be square"),
+                                            (RotationMatrix, "rotation matrix must be square")],
+                             ids=["skew", "rotation"])
+    def test_rejects_a_non_square_matrix(self, cls, match):
+        with pytest.raises(ValueError, match=match):
+            cls(np.zeros((2, 3)))
+
+    def test_family_rejects_a_generator_not_squaring_to_minus_identity(self):
+        with pytest.raises(ValueError, match=r"does not satisfy A\^2 = -I"):
+            RotationFamily(SkewMatrix(np.zeros((2, 2))))
+
     def test_skew_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             SkewMatrix(np.array([[0.0, 1.0], [-1.0 + 1e-14, 0.0]]))
@@ -153,6 +165,12 @@ class TestExpLog:
     def test_exp_of_zero(self):
         q = expm_skew(SkewMatrix(np.zeros((3, 3))))
         assert np.allclose(q.entries, np.eye(3), atol=1e-15)
+
+    def test_exp_rejects_infinite_entries(self):
+        # -(-inf) = inf, so this matrix is skew as stored
+        a = SkewMatrix(np.array([[0.0, np.inf], [-np.inf, 0.0]]))
+        with pytest.raises(ValueError, match="non-finite entries"):
+            expm_skew(a)
 
     def test_exp_matches_closed_form_family(self):
         # exp(tA) = cos(t)I + sin(t)A when A^2 = -I
@@ -280,6 +298,22 @@ class TestGeodesicDescent:
         f_and_grad = self._alignment_problem(target)
         with pytest.raises(ValueError):
             geodesic_descent(f_and_grad, target, step=0.0)
+
+    @pytest.mark.parametrize("finite_calls, match", [(0, "not finite at the initial rotation"),
+                                                     (1, "became non-finite during descent")],
+                             ids=["start", "descent"])
+    def test_rejects_a_non_finite_objective(self, finite_calls, match):
+        # f is NaN after its first finite_calls evaluations; the gradient's
+        # skew field is nonzero, so the descent takes a trial step
+        g = np.triu(np.ones((4, 4)), 1)
+        calls = []
+
+        def f_and_grad(q):
+            calls.append(q)
+            return (0.0 if len(calls) <= finite_calls else math.nan), g
+
+        with pytest.raises(ValueError, match=match):
+            geodesic_descent(f_and_grad, rotation_at(skew_family(2), 0.3))
 
 
 def test_descent_and_maps_never_import_scipy():

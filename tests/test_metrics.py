@@ -27,12 +27,14 @@ from rotcon import (
     r0_expected_mc,
     rotate,
     rotation_at,
+    sample_fade,
     skew_family,
 )
 from rotcon.liegroup import SkewMatrix, expm_skew
 from rotcon.metrics import (
     COORDINATE_TOL,
     EmptyBallWarning,
+    _ball,
     compute_report,
     difference_multiset,
     pair_sum_rational,
@@ -309,6 +311,19 @@ class TestConditionalRate:
             r0_conditional(x, np.array([1.0, -1.0]), ch)
         with pytest.raises(ValueError):
             r0_conditional(x, np.ones(3), ch)
+        with pytest.raises(ValueError):
+            r0_conditional(x, np.ones((5, 3)), ch)
+
+    def test_batch_over_many_passes_equals_single_calls(self):
+        # u = 15^4 - 1 = 50,624 distinct differences give 2^20 // u = 20
+        # fades a pass, so these 700 take 35
+        x = rotate(normalize_energy(make_qam_product(64, 2), 12.0),
+                   rotation_at(skew_family(2), math.radians(30.0)))
+        ch = ChannelSpec.from_ebn0_db(8.0)
+        h = sample_fade((700, 4), np.random.default_rng(1)).h
+        rates = r0_conditional(x, h, ch)
+        assert rates.shape == (700,)
+        assert rates.tolist() == [r0_conditional(x, hk, ch) for hk in h]
 
 
 class TestExpectedRateMc:
@@ -332,6 +347,14 @@ class TestExpectedRateMc:
         z, counts = x.pair_differences
         assert len(z) == 15**4 - 1  # not the 4096 * 4095 raw pairs
         assert counts.sum() == x.m * (x.m - 1)
+
+    def test_rotated_64qam_4d_values_are_pinned(self):
+        # 1000 fades in 50 passes of 20; each fade's rate has the same bits
+        # in any batch, so these change with the draw or the sum, not the passes
+        x = rotate(normalize_energy(make_qam_product(64, 2), 12.0),
+                   rotation_at(skew_family(2), math.radians(30.0)))
+        got = r0_expected_mc(x, ChannelSpec.from_ebn0_db(8.0), 1000, seed=3)
+        assert got == (5.931350376876902, 0.04102831297037765)
 
     def test_rejects_empty_run(self):
         x = make_qam_product(4, 1)
@@ -514,3 +537,17 @@ class TestReport:
         finally:
             tracemalloc.stop()
         assert peak <= 1.3 * z.nbytes
+
+    def test_ball_sums_squares_without_a_temporary_the_size_of_z(self):
+        # the squared norms and one column's squares: half of Z
+        x = make_qam_product(64, 2)
+        x = rotate(normalize_energy(x, float(x.q_bits)),
+                   rotation_at(skew_family(2), math.radians(30.0)))
+        z, _ = x.pair_differences
+        tracemalloc.start()
+        try:
+            _ball(x, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6 * z.nbytes

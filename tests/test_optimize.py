@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rotcon import (
     ChannelSpec,
+    Constellation,
     NuqamParams,
     cutoff_rate,
     cutoff_rate_gradient,
@@ -98,6 +99,9 @@ class TestGridSearch:
         ch = ChannelSpec.from_ebn0_db(5.0)
         with pytest.raises(ValueError):
             grid_search_t(normalize_energy(make_qam_product(4, 1), 2.0), ch, grid_step=0.0)
+        # one point: no pair to sum
+        with pytest.raises(ValueError, match="degenerate constellation"):
+            grid_search_t(Constellation(np.zeros((1, 2))), ch)
 
     @pytest.mark.parametrize("name", ["16qam4d", "4qam8d", "nuqam16", "rand2d", "rand4d",
                                       "rand8d"])
