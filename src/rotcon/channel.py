@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import Constellation, ProductFrame
-from .metrics import ChannelSpec
+from .metrics import ChannelSpec, rate_from_pair_sum
 
 _CHUNK_SYMBOLS = 2048
 _DECODE_BYTES = 1 << 29  # the sphere search splits a batch whose candidates would need more
@@ -248,14 +248,13 @@ def r0_conditional(x: Constellation, h: np.ndarray, ch: ChannelSpec) -> float | 
 
     The pair sums of exp(-sum_i z_i^2 h_i^2 / (8 N0)) are taken in passes of
     2^20 // u fades (u distinct differences), coordinate by coordinate and
-    fade by fade, without BLAS: a fade's rate has the same bits in any batch
-    and under any number of threads.
+    fade by fade, as `metrics` sums every pair multiset.
     """
     hv = FadeVector(h).h
     if hv.shape[-1] != x.n:
         raise ValueError("fade vector must have n non-negative entries")
     z, counts = x.pair_differences
-    zsq, cf, hsq, s = (z * z).T.copy(), counts.astype(float), np.atleast_2d(hv) ** 2, []
+    zsq, cf, hsq, rates = (z * z).T.copy(), counts.astype(float), np.atleast_2d(hv) ** 2, []
     step = max(1, (1 << 20) // max(1, len(cf)))
     for b in np.split(hsq, range(step, len(hsq), step)):
         e = b[:, :1] * zsq[0]
@@ -264,9 +263,8 @@ def r0_conditional(x: Constellation, h: np.ndarray, ch: ChannelSpec) -> float | 
         e /= -8.0 * ch.N0
         np.exp(e, out=e)
         e *= cf
-        s.append(e.sum(axis=1))
-    rates = x.q_bits - np.log2(1.0 + np.concatenate(s) / 2.0**x.q_bits)
-    return float(rates[0]) if hv.ndim == 1 else rates
+        rates += [rate_from_pair_sum(x.q_bits, s) for s in e.sum(axis=1).tolist()]
+    return rates[0] if hv.ndim == 1 else np.array(rates)
 
 
 def r0_expected_mc(

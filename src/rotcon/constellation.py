@@ -109,8 +109,8 @@ class Constellation:
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)  # a copy: the caller's array stays writeable
-        if pts.ndim != 2:
-            raise ValueError("points must be an m x n array")
+        if pts.ndim != 2 or not np.all(np.isfinite(pts)):
+            raise ValueError("points must be an m x n array of finite values")
         m = pts.shape[0]
         if m == 0 or m & (m - 1) != 0:
             raise ValueError(f"constellation size {m} is not a power of two")

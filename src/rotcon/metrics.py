@@ -8,7 +8,9 @@ of its axis multisets under its `ProductFrame`'s rotation; a point set
 without one gives raw pairs.  `_t_invariant_classes` merges it into the
 rotation family's classes (`Constellation.family_classes`), `_ball` keeps a
 closed ball of it, and every rational pair term, the optimizers' too, comes
-from `rational_weights`, which `pair_sum_rational` sums.
+from `rational_weights`.  Pair sums are numpy's pairwise sum of counts x terms,
+never a BLAS dot, and `rate_from_pair_sum` is the one rate formula: a rate has
+the same bits at any BLAS thread count and in any batch.
 Nothing here is random: the fade-conditioned bounds `r0_conditional` and
 `r0_expected_mc` live in `channel`, which owns the fading model.
 """
@@ -154,7 +156,7 @@ def rational_weights(z: np.ndarray, n0: float) -> tuple[np.ndarray, np.ndarray]:
 
 def pair_sum_rational(z: np.ndarray, counts: np.ndarray, n0: float) -> float:
     """Sum over pairs of the product of 1 / (1 + z_i^2 / (8 N0)); counts int or float."""
-    return float(np.dot(counts, rational_weights(z, n0)[1]))
+    return float(np.sum(counts * rational_weights(z, n0)[1]))
 
 
 def rate_from_pair_sum(q_bits: int, s: float) -> float:
@@ -171,7 +173,7 @@ def _ball(x: Constellation, r: float) -> tuple[np.ndarray, np.ndarray]:
     z, counts = x.pair_differences
     if r == math.inf:
         return z, counts
-    if r <= 0:
+    if not r > 0:  # NaN fails too
         raise ValueError("radius must be positive")
     # closed ball with 1e-12 relative slack so pairs at exactly distance r
     # stay inside despite rotation round-off; the squares are summed one
@@ -217,7 +219,7 @@ def high_snr_sum(x: Constellation, ch: ChannelSpec) -> float:
     z, counts = x.pair_differences
     zsq = z**2
     terms = np.where(np.abs(z) > COORDINATE_TOL, 8.0 * ch.N0 / np.where(zsq > 0, zsq, 1.0), 1.0)
-    return float(np.dot(counts.astype(float), np.prod(terms, axis=1)))
+    return float(np.sum(counts * np.prod(terms, axis=1)))
 
 
 def is_locally_fully_diverse(q: RotationMatrix) -> bool:

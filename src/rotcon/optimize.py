@@ -80,7 +80,7 @@ def grid_search_t(
     t (`x.family_classes`, built once per constellation).  The grid goes
     through `rational_weights` in blocks of t, one row per class and t, at
     most 8,192 rotated coordinates (64 KiB) a block; each t's pair sum is
-    then one dot product with the class counts.
+    then the pairwise sum of its row times the class counts.
     """
     _power_of_two_exponent(x.n)
     if not 0 < grid_step <= math.pi / 4:
@@ -102,11 +102,12 @@ def grid_search_t(
         sin = np.array([math.sin(t) for t in block])[:, None]
         # u[i, j] is coordinate i of z @ Q(t_j).T, since Q(t) = cos(t) I + sin(t) A
         u = zt * cos + zat * sin
-        # rows stored by column (see rational_weights); a dot per t gives the
-        # bits of one kernel call per t, which a batched p @ cf does not
+        # rows stored by column (see rational_weights); each row's pairwise sum
+        # of counts x terms has the bits of `pair_sum_rational` at its t
         p = rational_weights(u.reshape(n, -1).T, ch.N0)[1].reshape(len(block), c)
-        for t, pt in zip(block, p):
-            r = rate_from_pair_sum(q, float(np.dot(cf, pt)))
+        p *= cf
+        for t, s in zip(block, p.sum(axis=1).tolist()):
+            r = rate_from_pair_sum(q, s)
             if r > best_r:
                 best_t, best_r = float(t), r
             if profile is not None:
@@ -118,8 +119,7 @@ def cutoff_rate_gradient(x: Constellation, ch: ChannelSpec, q: RotationMatrix) -
     """Analytic Euclidean gradient of R(Q X) with respect to the entries of Q."""
     if q.n != x.n:
         raise ValueError("rotation and constellation dimensions disagree")
-    z, counts = x.pair_differences
-    return _rate_and_gradient(z, counts, x.q_bits, ch.N0, q.entries)[1]
+    return _rate_and_gradient(*x.pair_differences, x.q_bits, ch.N0, q.entries)[1]
 
 
 def _rate_and_gradient(z, counts, q_bits, n0, qm):

@@ -72,7 +72,8 @@ class TestGenCommand:
         {"n": 2},
         {"points": [[1.0, 0.0], [-1.0, 0.0]]},
         {"n": 2, "points": [[1.0, 0.0], [-1.0, 0.0]], "labels": [0, 1]},
-    ], ids=["no-points", "no-n", "integer-labels"])
+        {"n": 2, "points": [[math.nan, 0.0], [-1.0, 0.0]]},  # json writes and reads NaN
+    ], ids=["no-points", "no-n", "integer-labels", "nan-point"])
     def test_malformed_file_is_input_error(self, tmp_path, capsys, doc):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))

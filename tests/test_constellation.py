@@ -168,9 +168,12 @@ class TestConstellationInvariants:
         with pytest.raises(ValueError):
             Constellation(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
-    def test_non_finite_points_have_no_frame(self):
-        for bad in (np.nan, np.inf):
-            assert Constellation(np.array([[bad, 0.0], [1.0, 0.0]])).frame is None
+    def test_rejects_non_finite_points(self):
+        # two NaN points would pass the distinctness check, as NaN != NaN
+        for pts in ([[np.nan, 0.0], [1.0, 0.0]], [[np.inf, 0.0], [1.0, 0.0]],
+                    [[np.nan, 0.0], [np.nan, 0.0]]):
+            with pytest.raises(ValueError, match="finite"):
+                Constellation(np.array(pts))
 
     def test_rejects_bad_labels(self):
         pts = np.array([[0.0, 1.0], [1.0, 0.0]])

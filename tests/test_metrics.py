@@ -2,6 +2,9 @@
 
 import logging
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rotcon
 from rotcon import (
     ChannelSpec,
     Constellation,
@@ -389,9 +393,13 @@ class TestLocalCutoffRate:
         )
 
     def test_rejects_nonpositive_radius(self):
-        x = make_qam_product(4, 1)
-        with pytest.raises(ValueError):
-            local_cutoff_rate(x, 0.0, ChannelSpec.from_ebn0_db(5.0))
+        # NaN is no radius either: it is not > 0, though not <= 0
+        x, ch = make_qam_product(4, 1), ChannelSpec.from_ebn0_db(5.0)
+        for r in (0.0, -1.0, -math.inf, math.nan):
+            for metric in (lambda: local_cutoff_rate(x, r, ch), lambda: diversity_order(x, r),
+                           lambda: min_product_distance(x, r)):
+                with pytest.raises(ValueError, match="radius must be positive"):
+                    metric()
 
 
 class TestDiversityOrder:
@@ -551,3 +559,30 @@ class TestReport:
         finally:
             tracemalloc.stop()
         assert peak <= 0.6 * z.nbytes
+
+
+class TestThreadIndependence:
+    def test_rates_have_the_same_bits_at_one_and_two_blas_threads(self):
+        # every pair sum is numpy's pairwise sum, not a BLAS dot product that
+        # OpenBLAS splits across threads, so these outputs match to the bit
+        code = """
+import json, math
+import rotcon as rc
+from rotcon.metrics import compute_report
+x = rc.rotate(rc.normalize_energy(rc.make_qam_product(64, 2), 12.0),
+              rc.rotation_at(rc.skew_family(2), math.radians(30.0)))
+ch = rc.ChannelSpec.from_ebn0_db(14.0)
+print(repr(rc.cutoff_rate(x, ch)), repr(rc.high_snr_sum(x, ch)))
+print(json.dumps(compute_report(x, ch).to_jsonable()))
+print(rc.grid_search_t(x, ch, grid_step=1e-2, keep_profile=True).profile)
+"""
+        src = os.path.dirname(os.path.dirname(rotcon.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            outs.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                       capture_output=True, text=True, check=True,
+                                       timeout=120).stdout)
+        assert outs[0].count("\n") == 3 and outs[0] == outs[1]
