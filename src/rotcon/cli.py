@@ -177,8 +177,6 @@ def cmd_family(args) -> int:
     with _bad_input():
         family = skew_family(args.k)
     t = math.radians(args.t_deg) if args.t_deg is not None else args.t
-    if t is None:
-        raise InputDataError("provide --t (radians) or --t-deg")
     q = rotation_at(family, t)
     if args.format == "json":
         doc = {
@@ -288,6 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="rotcon", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
+    paper_step_deg = math.degrees(1e-3)  # the paper's step: math.radians gives back 1e-3 exactly
 
     def common(sp, constellation=True, ebn0="one"):
         sp.add_argument("--out", metavar="PATH")
@@ -309,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
                 constellation=False, ebn0=None)
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
     sp.add_argument("-k", type=int, required=True, help="dimension exponent, n = 2^k")
-    t = sp.add_mutually_exclusive_group()
+    t = sp.add_mutually_exclusive_group(required=True)
     t.add_argument("--t", type=_finite, help="parameter in radians")
     t.add_argument("--t-deg", type=_finite, help="parameter in degrees")
     sp.set_defaults(func=cmd_family)
@@ -322,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = common(sub.add_parser("opt-rotation", help="optimize the rotation; JSON summary"))
     sp.add_argument("--mode", choices=["grid", "manifold"], default="grid")
-    sp.add_argument("--grid-step-deg", type=_grid_step_deg, default=0.0572958,
-                    help="grid resolution in degrees, in (0, 45] (default ~0.001 rad)")
+    sp.add_argument("--grid-step-deg", type=_grid_step_deg, default=paper_step_deg,
+                    help="grid resolution in degrees, in (0, 45] (default 1e-3 rad)")
     sp.add_argument("--profile", metavar="PATH", help="write the (t, R) profile CSV")
     sp.set_defaults(func=cmd_opt_rotation)
 
@@ -331,19 +330,19 @@ def build_parser() -> argparse.ArgumentParser:
                 constellation=False)
     sp.add_argument("--q-bits", type=int, required=True, choices=[4, 6, 8, 10])
     sp.add_argument("--restarts", type=_count_at_least(0), default=0)
-    sp.add_argument("--seed", type=int, default=0, help="seed of the restart perturbations")
+    sp.add_argument("--seed", type=_count_at_least(0), default=0, help="restart perturbation seed")
     sp.set_defaults(func=cmd_opt_nuqam)
 
     sp = common(sub.add_parser("sweep", help="t_opt and R across Eb/N0 values; CSV"),
                 ebn0="list")
-    sp.add_argument("--grid-step-deg", type=_grid_step_deg, default=0.0572958,
-                    help="grid resolution in degrees, in (0, 45] (default ~0.001 rad)")
+    sp.add_argument("--grid-step-deg", type=_grid_step_deg, default=paper_step_deg,
+                    help="grid resolution in degrees, in (0, 45] (default 1e-3 rad)")
     sp.add_argument("--compare", metavar="CSV", help="rotation to compare against")
     sp.set_defaults(func=cmd_sweep)
 
     sp = common(sub.add_parser("ber", help="Monte Carlo bit error rate; CSV"), ebn0="list")
     sp.add_argument("--min-bits", type=_count_at_least(MIN_BITS), default=10**6)
-    sp.add_argument("--seed", type=int, default=0, help="seed of the Monte Carlo draws")
+    sp.add_argument("--seed", type=_count_at_least(0), default=0, help="Monte Carlo seed")
     sp.set_defaults(func=cmd_ber)
     return p
 

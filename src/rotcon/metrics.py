@@ -7,7 +7,8 @@ NUQAM, any rotation or rescaling of one, a product file) gives the product
 of its axis multisets under its `ProductFrame`'s rotation; a point set
 without one gives raw pairs.  `_t_invariant_classes` merges it into the
 rotation family's classes (`Constellation.family_classes`), `_ball` keeps a
-closed ball of it, and every rational pair term, the optimizers' too, comes
+closed ball of it, `_profile` gives each row's (L, d_p) for diversity and
+product distance, and every rational pair term, the optimizers' too, comes
 from `rational_weights`.  Pair sums are numpy's pairwise sum of counts x terms,
 never a BLAS dot, and `rate_from_pair_sum` is the one rate formula: a rate has
 the same bits at any BLAS thread count and in any batch.
@@ -190,13 +191,29 @@ def local_cutoff_rate(x: Constellation, r: float, ch: ChannelSpec) -> float:
     return rate_from_pair_sum(x.q_bits, pair_sum_rational(*_ball(x, r), ch.N0))
 
 
+def _profile(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L, d_p) of each row of z: how many coordinates exceed COORDINATE_TOL, and
+    their product in magnitude (1.0 for none), taken one coordinate at a time."""
+    lengths, dp = np.zeros(len(z), dtype=np.intp), np.ones(len(z))
+    for col in z.T:
+        a = np.abs(col)
+        nonzero = a > COORDINATE_TOL
+        lengths += nonzero
+        dp *= np.where(nonzero, a, 1.0)
+    return lengths, dp
+
+
+def _ball_min(values: np.ndarray, r: float, empty):
+    """The least of values, or `empty` with an EmptyBallWarning, at the caller's line, if none."""
+    if len(values) == 0:
+        warnings.warn(f"no pair within radius {r}; empty-min convention", EmptyBallWarning, 2)
+        return empty
+    return values.min()
+
+
 def diversity_order(x: Constellation, r: float = math.inf) -> int:
     """Minimum number of coordinates in which two points within r differ; n for an empty ball."""
-    z, _ = _ball(x, r)
-    if len(z) == 0:
-        warnings.warn(f"no pair within radius {r}; empty-min convention", EmptyBallWarning)
-        return x.n
-    return int(np.min(np.sum(np.abs(z) > COORDINATE_TOL, axis=1)))
+    return int(_ball_min(_profile(_ball(x, r)[0])[0], r, x.n))
 
 
 def min_product_distance(x: Constellation, r: float = math.inf) -> tuple[float, float]:
@@ -205,21 +222,17 @@ def min_product_distance(x: Constellation, r: float = math.inf) -> tuple[float, 
     Returns (d_p, d_p ** (1/n)), the raw and dimension-normalized values;
     inf for an empty ball.
     """
-    az = np.abs(_ball(x, r)[0])
-    if len(az) == 0:
-        warnings.warn(f"no pair within radius {r}; empty-min convention", EmptyBallWarning)
-        return math.inf, math.inf
-    az[az <= COORDINATE_TOL] = 1.0  # az is this call's own copy: no second |Z|-sized one
-    dp = float(np.min(np.prod(az, axis=1)))
+    dp = float(_ball_min(_profile(_ball(x, r)[0])[1], r, math.inf))
     return dp, dp ** (1.0 / x.n)
 
 
 def high_snr_sum(x: Constellation, ch: ChannelSpec) -> float:
-    """High-SNR approximation of the pair sum: products of 8 N0 / (x_i - y_i)^2."""
+    """High-SNR pair sum: products of 8 N0 / (x_i - y_i)^2 over the L nonzero coordinates, or
+    (8 N0)^L / d_p^2, the N0 -> 0 limit of the cutoff-rate term (Boutros-Viterbo, IT 1998)."""
     z, counts = x.pair_differences
-    zsq = z**2
-    terms = np.where(np.abs(z) > COORDINATE_TOL, 8.0 * ch.N0 / np.where(zsq > 0, zsq, 1.0), 1.0)
-    return float(np.sum(counts * np.prod(terms, axis=1)))
+    lengths, dp = _profile(z)
+    dp *= dp
+    return float(np.sum(counts * ((8.0 * ch.N0) ** lengths / dp)))
 
 
 def is_locally_fully_diverse(q: RotationMatrix) -> bool:
@@ -266,12 +279,15 @@ class MetricsReport:
 def compute_report(
     x: Constellation, ch: ChannelSpec, radii: tuple[float, ...] = (2.0, math.inf)
 ) -> MetricsReport:
-    """Every metric at each radius from the one cached multiset, all of it summed once."""
+    """Every metric from one ball per radius, its rate summed before its (L, d_p) profile."""
     local_r, div, mp, mpn = {}, {}, {}, {}
     for r in radii:
-        local_r[r] = local_cutoff_rate(x, r, ch)
-        div[r] = diversity_order(x, r)
-        mp[r], mpn[r] = min_product_distance(x, r)
+        z, counts = _ball(x, r)
+        local_r[r] = rate_from_pair_sum(x.q_bits, pair_sum_rational(z, counts, ch.N0))
+        lengths, dp = _profile(z)
+        div[r] = int(_ball_min(lengths, r, x.n))
+        mp[r] = float(_ball_min(dp, r, math.inf))
+        mpn[r] = mp[r] ** (1.0 / x.n)
     return MetricsReport(
         q_bits=x.q_bits,
         n=x.n,

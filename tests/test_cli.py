@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from rotcon import Constellation, make_qam_product, normalize_energy, rotation_at, skew_family
+from rotcon import (ChannelSpec, Constellation, grid_search_t, make_qam_product,
+                    normalize_energy, rotation_at, skew_family)
 from rotcon.cli import main
 from rotcon.constellation import save
 from rotcon.liegroup import save_rotation_csv
@@ -29,8 +30,11 @@ class TestFamilyCommand:
         assert len(doc["matrix"]) == 2
         assert "provenance" in doc
 
-    def test_missing_parameter_is_input_error(self):
-        assert main(["family", "-k", "2"]) == 3
+    def test_missing_parameter_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["family", "-k", "2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_bad_k_is_input_error(self):
         assert main(["family", "-k", "15", "--t", "0.1"]) == 3
@@ -181,6 +185,15 @@ class TestOptRotationCommand:
         assert capsys.readouterr().out == ""
         assert main([command, "--qam", "4", "--ebn0-db", "8", "--grid-step-deg", "45"]) == 0
 
+    def test_default_grid_step_is_the_papers(self, capsys):
+        # the default step is 1e-3 rad exactly, so the optimum is the library's
+        assert main(["opt-rotation", "--qam", "4", "--half-dims", "2", "--ebn0-db", "8"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        x = normalize_energy(make_qam_product(4, 2), 4.0)
+        res = grid_search_t(x, ChannelSpec.from_ebn0_db(8.0), grid_step=1e-3)
+        assert doc["t_opt_deg"] == math.degrees(res.t_opt)
+        assert doc["R_bits"] == res.objective
+
     def test_manifold_mode(self, capsys):
         assert main(["opt-rotation", "--qam", "4", "--ebn0-db", "8",
                      "--mode", "manifold"]) == 0
@@ -307,6 +320,9 @@ class TestOptionsAndValues:
         ["ber", "--qam", "4", "--ebn0-db", "10", "--min-bits", "1e5"],
         ["opt-nuqam", "--q-bits", "4", "--ebn0-db", "8", "--restarts", "-3"],
         ["opt-nuqam", "--q-bits", "4", "--ebn0-db", "8", "--restarts", "x"],
+        ["opt-nuqam", "--q-bits", "4", "--ebn0-db", "8", "--restarts", "1", "--seed", "-1"],
+        ["opt-nuqam", "--q-bits", "4", "--ebn0-db", "8", "--seed", "-1"],
+        ["ber", "--qam", "4", "--ebn0-db", "10", "--min-bits", "10000", "--seed", "-1"],
         ["gen", "--qam", "5"],
         ["gen", "--qam", "4", "--half-dims", "0"],
     ])

@@ -546,6 +546,34 @@ class TestReport:
             tracemalloc.stop()
         assert peak <= 1.3 * z.nbytes
 
+    def test_report_restricts_each_radius_once(self, monkeypatch):
+        x = rotate(normalize_energy(make_qam_product(16, 2), 8.0),
+                   rotation_at(skew_family(2), 0.5))
+        calls = []
+        monkeypatch.setattr("rotcon.metrics._ball",
+                            lambda *a: calls.append(a[1]) or _ball(*a))
+        compute_report(x, ChannelSpec.from_ebn0_db(10.0), (2.0, 3.0, math.inf))
+        assert calls == [2.0, 3.0, math.inf]
+
+    @pytest.mark.parametrize("metric", [
+        lambda x: high_snr_sum(x, ChannelSpec.from_ebn0_db(10.0)),
+        diversity_order,
+        min_product_distance,
+    ], ids=["high_snr_sum", "diversity_order", "min_product_distance"])
+    def test_distance_functionals_peak_near_one_column(self, metric):
+        # the (L, d_p) profile is taken one coordinate at a time: beside L and
+        # d_p, one column's magnitudes, its mask and its factors
+        x = make_qam_product(64, 2)
+        x = rotate(normalize_energy(x, float(x.q_bits)), rotation_at(skew_family(2), 0.5))
+        z, _ = x.pair_differences
+        tracemalloc.start()
+        try:
+            metric(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * z.nbytes
+
     def test_ball_sums_squares_without_a_temporary_the_size_of_z(self):
         # the squared norms and one column's squares: half of Z
         x = make_qam_product(64, 2)
