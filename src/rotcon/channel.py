@@ -15,7 +15,11 @@ depend on how the work is partitioned.
 product frame (an axis product such as QAM or NUQAM, or any rotation,
 rescaling or saved copy of one) is decoded by an exact breadth-first sphere
 search over its level box, a few candidates per symbol; any other point set
-by brute force over all m points.
+by brute force over all m points.  The search's Babai pass certifies the
+symbols for which the search would keep the Babai path alone (most of them
+at high SNR), and those skip the search.  A batch whose candidates at some
+level would pass a byte budget is split there by symbol, and each part goes
+on from that level.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from .constellation import Constellation, ProductFrame
 from .metrics import ChannelSpec, rate_from_pair_sum
 
 _CHUNK_SYMBOLS = 2048
-_DECODE_BYTES = 1 << 29  # the sphere search splits a batch whose candidates would need more
+_DECODE_BYTES = 1 << 29  # the sphere search splits its survivors where candidates would need more
+_NEIGHBOURS = np.array([[0], [1], [2]])  # the Babai level and its neighbours in a box padded by +-inf
 MIN_BITS = 10**4  # the smallest bit budget per Eb/N0 point of `ber_monte_carlo`
 
 _log = logging.getLogger("rotcon")
@@ -113,7 +118,8 @@ def sample_fade(n: int | tuple[int, int], rng: np.random.Generator) -> FadeVecto
     A (c, dim) batch equals c successive single draws from the same stream.
     """
     g = rng.normal(scale=np.sqrt(0.5), size=np.append(n, 2))
-    return FadeVector(np.sqrt(np.sum(g**2, axis=-1)))
+    g *= g
+    return FadeVector(np.sqrt(g[..., 0] + g[..., 1]))
 
 
 def transmit(x: np.ndarray, h: FadeVector, ch: ChannelSpec, rng: np.random.Generator) -> np.ndarray:
@@ -129,9 +135,15 @@ def ml_decode(x: Constellation, y: np.ndarray, h: FadeVector) -> int | np.ndarra
 
     A constellation with a product frame is searched by `_sphere_decode`,
     any other point set by `_brute_force`; both decide by the same metric.
-    A received vector that is not finite is a ValueError.
+    y is one received vector (n,) or a batch (c, n), and h one fade (n,)
+    or one per row, of y's shape; any other shape, or a received vector
+    that is not finite, is a ValueError.
     """
     y = np.asarray(y, dtype=float)
+    if y.ndim not in (1, 2) or y.shape[-1] != x.n:
+        raise ValueError(f"received vector must be ({x.n},) or (c, {x.n}), not {y.shape}")
+    if h.h.shape not in ((x.n,), y.shape):
+        raise ValueError(f"a fade of shape {h.h.shape} does not fit received shape {y.shape}")
     if not np.all(np.isfinite(y)):
         raise ValueError("received vector must have finite entries")
     y2 = np.atleast_2d(y)
@@ -177,12 +189,33 @@ def _sphere_decode(frame: ProductFrame, pts: np.ndarray, y: np.ndarray,
     depends on the coordinates at and after it (Viterbo and Boutros, "A
     universal lattice code decoder for fading channels", IEEE Trans. IT
     45(5), 1999).  The box-clipped Babai point gives each symbol a radius;
-    levels are then fixed from the last coordinate down, keeping every
-    partial vector still inside it, and the survivors are decided by
+    `_descend` then fixes levels from the last coordinate down, keeping
+    every partial vector still inside it, and decides the survivors by
     `_brute_force`'s own metric on the points, ties to the lowest index.
     The radius keeps a margin over the Babai distance, so the Babai path
-    survives.  Rows with a zero fade are decoded by brute force: candidates
-    that differ only in a coordinate it erases tie exactly, and the tie must
+    survives.  A level whose candidates would pass _DECODE_BYTES splits the
+    survivors by symbol, and `_descend` finishes each part from that level.
+
+    The Babai pass also certifies symbols.  At each coordinate it takes the
+    terms of the Babai level and of its two neighbour levels, given the
+    Babai levels after it, with the search's own operations and so with its
+    bits; once the radius is known, it replays, in the search's order, the
+    remainder `left` of the radius that the search carries down the Babai
+    path.  A symbol whose Babai term passes the search's test `t <= left` at
+    every coordinate while neither neighbour's term does is one whose Babai
+    path the search keeps alone: it is decided as its Babai point and skips
+    the search.  The neighbours stand for every other level: the computed
+    residual d = e - r * level never rises as the level rises (rounding is
+    monotone) and d * d never falls as |d| grows, so an upper neighbour
+    whose term exceeds the Babai term has d < 0, and every level above it a
+    residual at most that d and a term at least the neighbour's; below,
+    likewise.  This holds for levels an ulp apart too, which a frame admits
+    and where the midpoint rule may pick a Babai level that is not the
+    nearest: then a neighbour's term is at most the Babai term, and the
+    symbol is searched.
+
+    Rows with a zero fade are decoded by brute force: candidates that
+    differ only in a coordinate it erases tie exactly, and the tie must
     break as brute force breaks it.  So are rows with a radius that is not
     finite, and would be any row left without a survivor.
     """
@@ -192,33 +225,73 @@ def _sphere_decode(frame: ProductFrame, pts: np.ndarray, y: np.ndarray,
     v = np.concatenate([frame.rotation.T[:, :, None] * h.T[None], y.T[None]])
     with np.errstate(divide="ignore", invalid="ignore"):
         r = _gram_schmidt(v)
-        # the box-clipped Babai point: each level the nearest to its centre
-        e, babai = r[:, n].copy(), np.zeros(c)
+        # the box-clipped Babai point, each level the nearest to its centre:
+        # its flat key, its term at each coordinate and the lesser term of
+        # the levels next to it
+        e, babai, key = r[:, n].copy(), np.zeros(c), np.zeros(c, dtype=np.intp)
+        tb, other = np.empty((n, c)), np.empty((n, c))
         for j in reversed(range(n)):
             lv = levels[j]
-            u = lv[np.searchsorted((lv[1:] + lv[:-1]) / 2, e[j] / r[j, j])]
-            t = e[j] - r[j, j] * u
-            babai += t * t
-            e[:j] -= r[:j, j] * u
-    # 1e-9 relative slack, plus an allowance for the rounding of terms of the
-    # size of y and of the faded points, which matters only when the Babai
-    # distance is itself at rounding level
-    scale = np.sum(y * y, axis=1) + np.max(h * h, axis=1) * np.max(np.sum(pts**2, axis=1))
-    radius = (1.0 + 1e-9) * (babai + 1e-12 * scale)
-    ok = np.all(h > 0, axis=1) & np.isfinite(radius)
+            b = np.searchsorted((lv[1:] + lv[:-1]) / 2, e[j] / r[j, j])
+            # the levels below, at and above the Babai level; past the box, -inf and inf
+            u = np.concatenate(([-np.inf], lv, [np.inf]))[b + _NEIGHBOURS]
+            d = e[j] - r[j, j] * u
+            t = d * d
+            tb[j] = t[1]
+            other[j] = np.minimum(t[0], t[2])
+            babai += t[1]
+            key += b * strides[j]
+            e[:j] -= r[:j, j] * u[1]
+        # 1e-9 relative slack, plus an allowance for the rounding of terms of
+        # the size of y and of the faded points, which matters only when the
+        # Babai distance is itself at rounding level
+        scale = np.sum(y * y, axis=1) + np.max(h * h, axis=1) * np.max(np.sum(pts**2, axis=1))
+        radius = (1.0 + 1e-9) * (babai + 1e-12 * scale)
+        ok = np.all(h > 0, axis=1) & np.isfinite(radius)
+        # the certificate: the search's test `t <= left` on the remainder
+        # `left` it would carry down the Babai path
+        alone, left = ok.copy(), radius
+        for j in reversed(range(n)):
+            alone &= (tb[j] <= left) & (other[j] > left)
+            left = left - tb[j]
 
-    # survivors: symbol, flat key of the levels fixed so far, what is left of
-    # the radius, and the residual Q^T y - R u of the coordinates not yet fixed
-    sym = np.flatnonzero(ok)
-    key = np.zeros(len(sym), dtype=np.intp)
-    left = radius[sym]
-    e = r[:, n].T[sym]
-    for j in reversed(range(n)):
-        lv = levels[j]
-        # at up to 32n + 64 bytes a candidate, a batch past _DECODE_BYTES goes in halves
-        if c > 1 and len(sym) * len(lv) * (32 * n + 64) > _DECODE_BYTES:
-            return np.concatenate([_sphere_decode(frame, pts, yh, hh) for yh, hh
-                                   in zip(np.array_split(y, 2), np.array_split(h, 2))])
+    dec = np.full(c, -1, dtype=np.intp)
+    dec[alone] = frame.index.reshape(-1)[key[alone]]
+    sym = np.flatnonzero(ok & ~alone)
+    _descend(frame, pts, y, h, r, n - 1, sym, np.zeros(len(sym), dtype=np.intp),
+             radius[sym], r[:, n].T[sym], dec)
+    rest = dec < 0
+    if np.any(rest):
+        dec[rest] = _brute_force(pts, y[rest], h[rest])
+    return dec
+
+
+def _descend(frame: ProductFrame, pts: np.ndarray, y: np.ndarray, h: np.ndarray,
+             r: np.ndarray, top: int, sym: np.ndarray, key: np.ndarray, left: np.ndarray,
+             e: np.ndarray, dec: np.ndarray) -> None:
+    """Fix coordinates top, ..., 0 of the survivors of `_sphere_decode`; decide them into dec.
+
+    Each survivor is a symbol (ascending, so grouped), the flat key of the
+    levels fixed so far, what is left of its radius, and the residual
+    Q^T y - R u of its coordinates 0..top.  A symbol left without a survivor
+    keeps its entry of dec.  At up to 32n + 64 bytes a candidate, a level
+    whose candidates would pass _DECODE_BYTES is not expanded at once: the
+    survivors are split into two groups of whole symbols, and each group is
+    finished from that level, so no level is searched twice.
+    """
+    n = len(frame.levels)
+    strides = np.array(frame.index.strides) // frame.index.itemsize
+    for j in range(top, -1, -1):
+        lv = frame.levels[j]
+        if len(sym) * len(lv) * (32 * n + 64) > _DECODE_BYTES:
+            # the symbol boundary nearest the middle of the survivors
+            starts = np.flatnonzero(np.diff(sym)) + 1
+            if len(starts):
+                cut = starts[np.argmin(np.abs(starts - len(sym) / 2))]
+                for part in (slice(cut), slice(cut, None)):
+                    _descend(frame, pts, y, h, r, j, sym[part], key[part], left[part],
+                             e[part], dec)
+                return
         t = e[:, j, None] - r[j, j][sym, None] * lv
         t *= t
         s, i = np.nonzero(t <= left[:, None])
@@ -228,19 +301,13 @@ def _sphere_decode(frame: ProductFrame, pts: np.ndarray, y: np.ndarray,
     # survivors come grouped by symbol; decide each group by the brute-force
     # metric, ties to the lowest index
     cand = frame.index.reshape(-1)[key]
-    p = pts[cand]
-    metric = (np.einsum("si,si->s", (h * h)[sym], p * p)
-              - 2.0 * np.einsum("si,si->s", (y * h)[sym], p))
+    p, hs = pts[cand], h[sym]
+    metric = (np.einsum("si,si->s", hs * hs, p * p)
+              - 2.0 * np.einsum("si,si->s", y[sym] * hs, p))
     new = np.diff(sym, prepend=-1) != 0
     first = np.flatnonzero(new)
     best = np.minimum.reduceat(metric, first)[np.cumsum(new) - 1]
-    dec = np.empty(c, dtype=np.intp)
     dec[sym[first]] = np.minimum.reduceat(np.where(metric == best, cand, len(pts)), first)
-    rest = np.ones(c, dtype=bool)
-    rest[sym] = False
-    if np.any(rest):
-        dec[rest] = _brute_force(pts, y[rest], h[rest])
-    return dec
 
 
 def r0_conditional(x: Constellation, h: np.ndarray, ch: ChannelSpec) -> float | np.ndarray:

@@ -25,7 +25,7 @@ from rotcon import (
     transmit,
 )
 from rotcon.channel import BerRow, FadeVector, wilson_interval
-from rotcon.constellation import load, save
+from rotcon.constellation import ProductFrame, load, save
 
 from conftest import random_constellation
 
@@ -143,6 +143,21 @@ class TestMlDecode:
             with pytest.raises(ValueError, match="finite"):
                 ml_decode(x, y, FadeVector(np.ones((2, 4))))
 
+    def test_rejects_mis_sized_received_vectors_and_fades(self):
+        # the sphere search of a product frame and brute force alike; a fade
+        # is (n,) or the received vector's shape, never broadcast otherwise
+        for x in (_qam(16, 2, 60.0), random_constellation(np.random.default_rng(2), 16, 4)):
+            p = x.points
+            for y, h in [(p[5], np.ones(1)), (p[5], np.ones(3)), (p[5], np.ones((1, 4))),
+                         (p[:3], np.ones((1, 4))), (p[:3], np.ones((3, 1))), (p[:3], np.ones(3)),
+                         (p[:3], np.ones((2, 4))), (p[5, :3], np.ones(3)), (p[0, 0], np.ones(4)),
+                         (p[None, :3], np.ones(4))]:
+                with pytest.raises(ValueError, match="shape|received vector must be"):
+                    ml_decode(x, y, FadeVector(h))
+            assert ml_decode(x, p[5], FadeVector(np.ones(4))) == 5
+            assert ml_decode(x, p[:3], FadeVector(np.ones(4))).tolist() == [0, 1, 2]
+            assert ml_decode(x, p[:3], FadeVector(np.ones((3, 4)))).tolist() == [0, 1, 2]
+
     def test_batch_matches_direct_argmin(self):
         x = normalize_energy(make_qam_product(16, 2), 4.0)
         x = rotate(x, rotation_at(skew_family(2), math.radians(30.0)))
@@ -156,6 +171,11 @@ class TestMlDecode:
         assert np.array_equal(dec, direct)
         assert np.count_nonzero(dec != idx) > 0  # the check sees decoding errors
         assert [ml_decode(x, y[i], FadeVector(h.h[i])) for i in range(len(y))] == dec.tolist()
+
+
+_ULP = 2.0**-52
+_ROTATED_NUQAM = rotate(make_nuqam(NuqamParams((0.3, 1.0, 1.4, 2.5))),
+                        rotation_at(skew_family(1), math.radians(20.0)))
 
 
 class TestSphereDecoder:
@@ -222,24 +242,80 @@ class TestSphereDecoder:
 
     @pytest.fixture
     def batch_sizes(self, monkeypatch):
-        """The batch size of every `_sphere_decode` call, halves included."""
+        """The batch size of every `_sphere_decode` call."""
         sizes = []
         search = rotcon.channel._sphere_decode
         monkeypatch.setattr("rotcon.channel._sphere_decode",
                             lambda *a: sizes.append(len(a[2])) or search(*a))
         return sizes
 
-    def test_batches_over_the_byte_budget_decode_in_halves(self, batch_sizes, monkeypatch):
-        # at -10 dB most candidates survive; a 64 KiB budget splits each
-        # chunk down to a few symbols, and the decisions stay brute force's
+    @pytest.fixture
+    def descents(self, monkeypatch):
+        """(first coordinate, symbols) of every `_descend` call, each part of a split included."""
+        calls = []
+        descend = rotcon.channel._descend
+        monkeypatch.setattr("rotcon.channel._descend",
+                            lambda *a: calls.append((a[5], len(np.unique(a[6])))) or descend(*a))
+        return calls
+
+    def test_batches_over_the_byte_budget_decode_in_halves(self, batch_sizes, descents,
+                                                          monkeypatch):
+        # at -10 dB most candidates survive; a 64 KiB budget splits the
+        # survivors of each chunk by symbol, down to a few symbols a part,
+        # each part going on from the coordinate where it split, and the
+        # decisions stay brute force's
         monkeypatch.setattr("rotcon.channel._DECODE_BYTES", 1 << 16)
         _assert_decisions_match(_qam(64, 2, 30.0), -10.0, 4096, seed=1)
-        assert min(batch_sizes) < 64 and len(batch_sizes) > 2
+        assert batch_sizes == [2048, 2048]  # one Gram-Schmidt step a chunk: nothing restarts
+        splits = (len(descents) - len(batch_sizes)) // 2
+        assert splits > 2
+        assert min(k for _, k in descents) < 64
+        assert {j for j, _ in descents} > {3}  # parts go on from coordinates below the first
 
     @pytest.mark.parametrize("M", [16, 64])
     def test_the_byte_budget_holds_a_chunk_at_10_db(self, M, batch_sizes):
         _assert_decisions_match(_qam(M, 2, 30.0), 10.0, 4096, seed=2)
         assert batch_sizes == [2048, 2048]
+
+    @pytest.mark.parametrize("M", [16, 64])
+    def test_a_chunk_at_10_db_is_searched_unsplit(self, M, descents):
+        _assert_decisions_match(_qam(M, 2, 30.0), 10.0, 4096, seed=2)
+        assert [j for j, _ in descents] == [3, 3]
+
+    @pytest.mark.parametrize("x, db", [
+        *[(_qam(M, 2, 60.0), db) for M in (16, 64) for db in (10.0, 14.0, 18.0, 26.0)],
+        *[(_ROTATED_NUQAM, db) for db in (6.0, 16.0, 26.0)],
+    ], ids=[*[f"{M}qam-4d-{db:g}dB" for M in (16, 64) for db in (10, 14, 18, 26)],
+            *[f"rotated-nuqam-{db:g}dB" for db in (6, 16, 26)]])
+    def test_certified_and_searched_symbols_decide_as_brute_force(self, x, db, descents,
+                                                                 no_brute_force):
+        # a symbol the Babai pass certifies skips the search; the rest are
+        # searched, and every decision is brute force's
+        _assert_decisions_match(x, db, 8192, seed=3)
+        searched = sum(k for _, k in descents)
+        assert len(descents) == 4  # one search a chunk
+        assert 0 < searched < 8192  # both kinds occur
+
+    @pytest.mark.parametrize("lv", [
+        [0.0, 1.0 + _ULP, 1.0 + 2 * _ULP, 10.0],
+        [-3.0, 1.0, 1.0 + _ULP, 3.0],
+        [0.5, 1.0 + _ULP, 1.0 + 2 * _ULP, 1.0 + 3 * _ULP],
+    ], ids=["midpoint-rounds-up", "midpoint-rounds-down", "three-an-ulp-apart"])
+    def test_levels_an_ulp_apart(self, lv):
+        # points an ulp apart tie or nearly so, and the midpoint rule may pick
+        # a Babai level that is not the nearest; a certified symbol must still
+        # be brute force's decision, ties to the lowest index.  On one axis the
+        # search's metric has brute force's bits exactly (a single product per
+        # term), so the decisions are compared whatever the ties.
+        lv = np.array(lv)
+        x = Constellation(lv[:, None], frame=ProductFrame((lv,), np.arange(4), np.eye(1)))
+        for db in (0.0, 20.0, 300.0):
+            rng = np.random.default_rng(int(db))
+            idx = rng.integers(0, 4, size=8192)
+            h = sample_fade((8192, 1), rng)
+            y = transmit(x.points[idx], h, ChannelSpec(10.0 ** (-db / 10.0)), rng)
+            y[::4] = h.h[::4] * x.points[idx[::4]]  # noiseless rows: e/r at a level
+            assert np.array_equal(ml_decode(x, y, h), _brute_argmin(x, y, h.h))
 
     def test_non_product_takes_brute_force(self, monkeypatch):
         x = random_constellation(np.random.default_rng(4), 64, 4)
