@@ -258,8 +258,8 @@ def _sphere_decode(frame: ProductFrame, pts: np.ndarray, y: np.ndarray,
     dec = np.full(c, -1, dtype=np.intp)
     dec[alone] = frame.index.reshape(-1)[key[alone]]
     sym = np.flatnonzero(ok & ~alone)
-    _descend(frame, pts, y, h, r, n - 1, sym, np.zeros(len(sym), dtype=np.intp),
-             radius[sym], r[:, n].T[sym], dec)
+    _descend(frame, pts, y, h, r, sym, np.zeros(len(sym), dtype=np.intp), radius[sym],
+             r[:, n].T[sym], dec)
     rest = dec < 0
     if np.any(rest):
         dec[rest] = _brute_force(pts, y[rest], h[rest])
@@ -267,21 +267,22 @@ def _sphere_decode(frame: ProductFrame, pts: np.ndarray, y: np.ndarray,
 
 
 def _descend(frame: ProductFrame, pts: np.ndarray, y: np.ndarray, h: np.ndarray,
-             r: np.ndarray, top: int, sym: np.ndarray, key: np.ndarray, left: np.ndarray,
+             r: np.ndarray, sym: np.ndarray, key: np.ndarray, left: np.ndarray,
              e: np.ndarray, dec: np.ndarray) -> None:
-    """Fix coordinates top, ..., 0 of the survivors of `_sphere_decode`; decide them into dec.
+    """Fix the remaining coordinates of the survivors of `_sphere_decode`; decide them into dec.
 
     Each survivor is a symbol (ascending, so grouped), the flat key of the
     levels fixed so far, what is left of its radius, and the residual
-    Q^T y - R u of its coordinates 0..top.  A symbol left without a survivor
-    keeps its entry of dec.  At up to 32n + 64 bytes a candidate, a level
-    whose candidates would pass _DECODE_BYTES is not expanded at once: the
-    survivors are split into two groups of whole symbols, and each group is
-    finished from that level, so no level is searched twice.
+    Q^T y - R u of the coordinates 0..j not yet fixed, which are fixed from
+    j down.  A symbol left without a survivor keeps its entry of dec.  At up
+    to 32n + 64 bytes a candidate, a level whose candidates would pass
+    _DECODE_BYTES is not expanded at once: the survivors are split into two
+    groups of whole symbols, and each group is finished from that level, so
+    no level is searched twice.
     """
     n = len(frame.levels)
     strides = np.array(frame.index.strides) // frame.index.itemsize
-    for j in range(top, -1, -1):
+    for j in reversed(range(e.shape[1])):
         lv = frame.levels[j]
         if len(sym) * len(lv) * (32 * n + 64) > _DECODE_BYTES:
             # the symbol boundary nearest the middle of the survivors
@@ -289,7 +290,7 @@ def _descend(frame: ProductFrame, pts: np.ndarray, y: np.ndarray, h: np.ndarray,
             if len(starts):
                 cut = starts[np.argmin(np.abs(starts - len(sym) / 2))]
                 for part in (slice(cut), slice(cut, None)):
-                    _descend(frame, pts, y, h, r, j, sym[part], key[part], left[part],
+                    _descend(frame, pts, y, h, r, sym[part], key[part], left[part],
                              e[part], dec)
                 return
         t = e[:, j, None] - r[j, j][sym, None] * lv

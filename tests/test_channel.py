@@ -255,7 +255,8 @@ class TestSphereDecoder:
         calls = []
         descend = rotcon.channel._descend
         monkeypatch.setattr("rotcon.channel._descend",
-                            lambda *a: calls.append((a[5], len(np.unique(a[6])))) or descend(*a))
+                            lambda *a: calls.append((a[8].shape[1] - 1, len(np.unique(a[5])))) or
+                            descend(*a))
         return calls
 
     def test_batches_over_the_byte_budget_decode_in_halves(self, batch_sizes, descents,
