@@ -11,15 +11,16 @@ counting is deterministic for a given seed: the random stream is split into
 fixed-size substreams per Eb/N0 point and per chunk, so results do not
 depend on how the work is partitioned.
 
-`ml_decode` has two paths with the same decisions.  A constellation with a
-product frame (an axis product such as QAM or NUQAM, or any rotation,
-rescaling or saved copy of one) is decoded by an exact breadth-first sphere
-search over its level box, a few candidates per symbol; any other point set
-by brute force over all m points.  The search's Babai pass certifies the
-symbols for which the search would keep the Babai path alone (most of them
-at high SNR), and those skip the search.  A batch whose candidates at some
-level would pass a byte budget is split there by symbol, and each part goes
-on from that level.
+A constellation with a product frame (an axis product such as QAM or
+NUQAM, or any rotation, rescaling or saved copy of one) is decoded by an
+exact breadth-first sphere search over its level box, a few candidates per
+symbol.  `ml_decode` gives every row the search leaves, and every row of any
+other point set, to brute force over all m points, its one brute-force site.
+The search's Babai pass certifies the symbols for which the search would
+keep the Babai path alone (most of them at high SNR), and those skip the
+search.  A batch whose candidates at some level would pass a byte budget is
+split there by symbol, and each part goes on from that level; brute force
+takes its rows in blocks under the same budget.
 """
 
 from __future__ import annotations
@@ -134,7 +135,13 @@ def ml_decode(x: Constellation, y: np.ndarray, h: FadeVector) -> int | np.ndarra
     """Index (an array for a batch) of the point minimizing ||y - h*x'||^2; ties go low.
 
     A constellation with a product frame is searched by `_sphere_decode`,
-    any other point set by `_brute_force`; both decide by the same metric.
+    which leaves -1 in the rows it does not decide (a zero fade, a radius
+    that is not finite).  Those rows, and every row of a point set without
+    a frame, go to `_brute_force`, whose metric arrays stay under
+    _DECODE_BYTES.  Both minimize the same metric, but the search evaluates
+    it elementwise and brute force by BLAS matrix products, whose last bits
+    can differ; so exact ties, and near-ties within that rounding (levels an ulp
+    apart in n >= 2), may break differently on the two paths.
     y is one received vector (n,) or a batch (c, n), and h one fade (n,)
     or one per row, of y's shape; any other shape, or a received vector
     that is not finite, is a ValueError.
@@ -148,16 +155,32 @@ def ml_decode(x: Constellation, y: np.ndarray, h: FadeVector) -> int | np.ndarra
         raise ValueError("received vector must have finite entries")
     y2 = np.atleast_2d(y)
     h2 = np.broadcast_to(h.h, y2.shape)
-    dec = (_brute_force(x.points, y2, h2) if x.frame is None
+    dec = (np.full(len(y2), -1, dtype=np.intp) if x.frame is None
            else _sphere_decode(x.frame, x.points, y2, h2))
+    rest = np.flatnonzero(dec < 0)
+    if len(rest):
+        dec[rest] = _brute_force(x.points, y2[rest], h2[rest])
     return int(dec[0]) if y.ndim == 1 else dec
 
 
 def _brute_force(pts: np.ndarray, y: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Argmin over all m points of the (c, n) batch, O(m) per symbol."""
+    """Argmin over all m points of the (c, n) batch, O(m) per symbol.
+
+    The rows go in near-equal blocks, as few as keep each block's two
+    (rows, m) metric arrays under _DECODE_BYTES (one row a block if need
+    be): a block of one row is a matrix-vector product, whose last bits can
+    differ from a matrix product's.
+    """
     # ||y - h*x'||^2 expanded into two matrix products; the ||y||^2 term is
     # constant in the candidate and dropped
-    return np.argmin((h**2) @ (pts**2).T - 2.0 * (y * h) @ pts.T, axis=1)
+    p2 = (pts**2).T
+    parts = min(len(y), -(-len(y) * len(pts) * 16 // _DECODE_BYTES))
+    dec = []
+    for yb, hb in zip(np.array_split(y, parts), np.array_split(h, parts)):
+        metric = (hb**2) @ p2
+        metric -= 2.0 * (yb * hb) @ pts.T
+        dec.append(np.argmin(metric, axis=1))
+    return np.concatenate(dec)
 
 
 def _gram_schmidt(v: np.ndarray) -> np.ndarray:
@@ -191,7 +214,8 @@ def _sphere_decode(frame: ProductFrame, pts: np.ndarray, y: np.ndarray,
     45(5), 1999).  The box-clipped Babai point gives each symbol a radius;
     `_descend` then fixes levels from the last coordinate down, keeping
     every partial vector still inside it, and decides the survivors by
-    `_brute_force`'s own metric on the points, ties to the lowest index.
+    `_brute_force`'s metric on the points, evaluated elementwise, ties to
+    the lowest index.
     The radius keeps a margin over the Babai distance, so the Babai path
     survives.  A level whose candidates would pass _DECODE_BYTES splits the
     survivors by symbol, and `_descend` finishes each part from that level.
@@ -214,10 +238,10 @@ def _sphere_decode(frame: ProductFrame, pts: np.ndarray, y: np.ndarray,
     nearest: then a neighbour's term is at most the Babai term, and the
     symbol is searched.
 
-    Rows with a zero fade are decoded by brute force: candidates that
-    differ only in a coordinate it erases tie exactly, and the tie must
-    break as brute force breaks it.  So are rows with a radius that is not
-    finite, and would be any row left without a survivor.
+    Rows with a zero fade are left at -1 for `ml_decode`'s brute force:
+    candidates that differ only in a coordinate it erases tie exactly, and
+    the tie must break as brute force breaks it.  So are rows with a radius
+    that is not finite, and any row left without a survivor.
     """
     c, n = y.shape
     levels = frame.levels
@@ -242,10 +266,10 @@ def _sphere_decode(frame: ProductFrame, pts: np.ndarray, y: np.ndarray,
             babai += t[1]
             key += b * strides[j]
             e[:j] -= r[:j, j] * u[1]
-        # 1e-9 relative slack, plus an allowance for the rounding of terms of
-        # the size of y and of the faded points, which matters only when the
-        # Babai distance is itself at rounding level
-        scale = np.sum(y * y, axis=1) + np.max(h * h, axis=1) * np.max(np.sum(pts**2, axis=1))
+        # 1e-9 relative slack, plus an allowance for rounding at the size of y and of
+        # the faded points, whose ||p||^2 the box bounds (rotation keeps norms); it
+        # matters only when the Babai distance is itself at rounding level
+        scale = np.sum(y * y, axis=1) + np.max(h * h, axis=1) * sum(np.max(v * v) for v in levels)
         radius = (1.0 + 1e-9) * (babai + 1e-12 * scale)
         ok = np.all(h > 0, axis=1) & np.isfinite(radius)
         # the certificate: the search's test `t <= left` on the remainder
@@ -260,9 +284,6 @@ def _sphere_decode(frame: ProductFrame, pts: np.ndarray, y: np.ndarray,
     sym = np.flatnonzero(ok & ~alone)
     _descend(frame, pts, y, h, r, sym, np.zeros(len(sym), dtype=np.intp), radius[sym],
              r[:, n].T[sym], dec)
-    rest = dec < 0
-    if np.any(rest):
-        dec[rest] = _brute_force(pts, y[rest], h[rest])
     return dec
 
 

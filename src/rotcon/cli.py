@@ -12,6 +12,7 @@ import contextlib
 import csv
 import json
 import math
+import shlex
 import sys
 
 import numpy as np
@@ -36,13 +37,16 @@ from .metrics import ChannelSpec, compute_report, cutoff_rate
 from .optimize import grid_search_t, optimize_nuqam, optimize_rotation_full
 
 
+_PAPER_STEP_DEG = math.degrees(1e-3)  # the paper's step: math.radians gives back 1e-3 exactly
+
+
 class InputDataError(Exception):
     pass
 
 
 def _provenance(args) -> dict:
     return {
-        "command": " ".join(sys.argv),
+        "command": "rotcon " + shlex.join(args.argv),
         "seed": getattr(args, "seed", None),
         "version": __version__,
     }
@@ -218,7 +222,8 @@ def cmd_opt_rotation(args) -> int:
     ch = args.channel
     if args.mode == "grid":
         k = _family_exponent(x.n)
-        res = grid_search_t(x, ch, grid_step=math.radians(args.grid_step_deg),
+        step_deg = _PAPER_STEP_DEG if args.grid_step_deg is None else args.grid_step_deg
+        res = grid_search_t(x, ch, grid_step=math.radians(step_deg),
                             keep_profile=args.profile is not None)
         q = rotation_at(skew_family(k), res.t_opt)
         if args.profile:
@@ -228,7 +233,7 @@ def cmd_opt_rotation(args) -> int:
                 for t, r in res.profile:
                     w.writerow([f"{math.degrees(t):.10g}", f"{r:.12g}"])
         summary = {"mode": "grid", "t_opt_deg": math.degrees(res.t_opt),
-                   "R_bits": res.objective, "grid_step_deg": args.grid_step_deg,
+                   "R_bits": res.objective, "grid_step_deg": step_deg,
                    "provenance": _provenance(args)}
     else:
         trace = optimize_rotation_full(x, ch)
@@ -286,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="rotcon", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-    paper_step_deg = math.degrees(1e-3)  # the paper's step: math.radians gives back 1e-3 exactly
 
     def common(sp, constellation=True, ebn0="one"):
         sp.add_argument("--out", metavar="PATH")
@@ -321,9 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = common(sub.add_parser("opt-rotation", help="optimize the rotation; JSON summary"))
     sp.add_argument("--mode", choices=["grid", "manifold"], default="grid")
-    sp.add_argument("--grid-step-deg", type=_grid_step_deg, default=paper_step_deg,
-                    help="grid resolution in degrees, in (0, 45] (default 1e-3 rad)")
-    sp.add_argument("--profile", metavar="PATH", help="write the (t, R) profile CSV")
+    sp.add_argument("--grid-step-deg", type=_grid_step_deg,
+                    help="grid mode: resolution in degrees, in (0, 45] (default 1e-3 rad)")
+    sp.add_argument("--profile", metavar="PATH", help="grid mode: write the (t, R) profile CSV")
     sp.set_defaults(func=cmd_opt_rotation)
 
     sp = common(sub.add_parser("opt-nuqam", help="optimize non-uniformity parameters; JSON"),
@@ -335,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = common(sub.add_parser("sweep", help="t_opt and R across Eb/N0 values; CSV"),
                 ebn0="list")
-    sp.add_argument("--grid-step-deg", type=_grid_step_deg, default=paper_step_deg,
+    sp.add_argument("--grid-step-deg", type=_grid_step_deg, default=_PAPER_STEP_DEG,
                     help="grid resolution in degrees, in (0, 45] (default 1e-3 rad)")
     sp.add_argument("--compare", metavar="CSV", help="rotation to compare against")
     sp.set_defaults(func=cmd_sweep)
@@ -348,7 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "mode", None) == "manifold" and (
+            args.profile is not None or args.grid_step_deg is not None):
+        parser.error("--mode manifold takes neither --profile nor --grid-step-deg")
+    args.argv = argv
     try:
         return args.func(args)
     except (InputDataError, OSError) as e:

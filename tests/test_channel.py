@@ -3,6 +3,7 @@
 import logging
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from rotcon import (
 )
 from rotcon.channel import BerRow, FadeVector, wilson_interval
 from rotcon.constellation import ProductFrame, load, save
+from rotcon.metrics import compute_report
 
 from conftest import random_constellation
 
@@ -225,6 +227,21 @@ class TestSphereDecoder:
         scale = math.sqrt(2.0 / y.energy)
         assert all(np.array_equal(a, b * scale) for a, b in zip(g.levels, f.levels))
 
+    def test_product_out_of_product_order(self, no_brute_force):
+        # permuted points and labels: `detect` finds the frame, whose index
+        # table maps each grid cell to its point
+        x = _qam(16, 2)
+        perm = np.random.default_rng(6).permutation(x.m)
+        xp = Constellation(x.points[perm], [x.labels[i] for i in perm])
+        assert xp.frame is not None
+        assert not np.array_equal(xp.frame.index.reshape(-1), np.arange(x.m))
+        for db in (10.0, 18.0):
+            _assert_decisions_match(xp, db, 20000)
+        q = rotation_at(skew_family(2), math.radians(30.0))
+        ch = ChannelSpec.from_ebn0_db(10.0)
+        for a, b in ((x, xp), (rotate(x, q), rotate(xp, q))):
+            assert compute_report(b, ch).to_jsonable() == compute_report(a, ch).to_jsonable()
+
     @pytest.mark.parametrize("t_deg", [None, 60.0])
     def test_zero_fade_entry(self, t_deg):
         # an erased coordinate makes points that differ only there tie exactly
@@ -327,6 +344,22 @@ class TestSphereDecoder:
                             lambda *a: calls.append(1) or brute(*a))
         _assert_decisions_match(x, 10.0, 4096)
         assert len(calls) == 2
+
+    def test_brute_force_holds_the_byte_budget(self, monkeypatch):
+        # a 1 MiB budget takes each chunk in blocks of 16 rows, at most two
+        # (16, 4096) metric arrays at a time; unblocked, a chunk needs 128 MiB
+        monkeypatch.setattr("rotcon.channel._DECODE_BYTES", 1 << 20)
+        x = random_constellation(np.random.default_rng(8), 4096, 2)
+        assert x.frame is None
+        (_, y, h), = _stream(x, 10.0, 2048, seed=8)
+        tracemalloc.start()
+        try:
+            dec = ml_decode(x, y, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(dec, _brute_argmin(x, y, h.h))
+        assert peak < 4 << 20
 
 
 class TestWilson:

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import shlex
 
 import numpy as np
 import pytest
@@ -193,6 +194,7 @@ class TestOptRotationCommand:
         res = grid_search_t(x, ChannelSpec.from_ebn0_db(8.0), grid_step=1e-3)
         assert doc["t_opt_deg"] == math.degrees(res.t_opt)
         assert doc["R_bits"] == res.objective
+        assert doc["grid_step_deg"] == math.degrees(1e-3)
 
     def test_manifold_mode(self, capsys):
         assert main(["opt-rotation", "--qam", "4", "--ebn0-db", "8",
@@ -201,6 +203,36 @@ class TestOptRotationCommand:
         assert doc["mode"] == "manifold"
         assert doc["converged"] and doc["reason"] == "gradient-tolerance"
         assert "log_rotation" in doc
+
+    @pytest.mark.parametrize("option", [["--profile", "p.csv"], ["--grid-step-deg", "1"],
+                                        ["--grid-step-deg", str(math.degrees(1e-3))]],
+                             ids=["profile", "step", "default-step"])
+    def test_manifold_mode_refuses_grid_options(self, option, tmp_path, monkeypatch, capsys):
+        # the descent reads neither; an explicit step is refused even at the default
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["opt-rotation", "--qam", "4", "--ebn0-db", "8", "--out", "q.csv",
+                  "--mode", "manifold", *option])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestProvenance:
+    def test_records_the_argv_main_parsed(self, tmp_path, capsys):
+        # in process, not the host's sys.argv; quoted so that a shell gives it back
+        argv = ["metrics", "--qam", "4", "--ebn0-db", "8", "--format", "json",
+                "--out", str(tmp_path / "a b.json")]
+        assert main(argv) == 0
+        command = json.loads((tmp_path / "a b.json").read_text())["provenance"]["command"]
+        assert shlex.split(command) == ["rotcon", *argv]
+
+    def test_reads_sys_argv_without_an_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.argv", ["/bin/rotcon", "family", "-k", "1", "--t", "0.5",
+                                         "--format", "json"])
+        assert main() == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["provenance"]["command"] == "rotcon family -k 1 --t 0.5 --format json"
 
 
 class TestOptNuqamCommand:
