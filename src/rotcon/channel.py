@@ -14,13 +14,17 @@ depend on how the work is partitioned.
 A constellation with a product frame (an axis product such as QAM or
 NUQAM, or any rotation, rescaling or saved copy of one) is decoded by an
 exact breadth-first sphere search over its level box, a few candidates per
-symbol.  `ml_decode` gives every row the search leaves, and every row of any
-other point set, to brute force over all m points, its one brute-force site.
-The search's Babai pass certifies the symbols for which the search would
-keep the Babai path alone (most of them at high SNR), and those skip the
-search.  A batch whose candidates at some level would pass a byte budget is
-split there by symbol, and each part goes on from that level; brute force
-takes its rows in blocks under the same budget.
+symbol, on the Cholesky factor of each symbol's faded Gram matrix.
+`ml_decode` gives every row the search leaves (a fade whose square is zero,
+a factor that is not finite), and every row of any other point set, to
+brute force over all m points, its one brute-force site.  The search's
+Babai pass certifies the symbols for which the search would keep the Babai
+path alone (most of them at high SNR), and those skip the search; of the
+survivors of the rest, only those within the radius's rounding slack of a
+symbol's best reach the brute-force metric.  A batch whose candidates at
+some level would pass a byte budget is split there by symbol, and each part
+goes on from that level; brute force takes its rows in blocks under the
+same budget.
 """
 
 from __future__ import annotations
@@ -135,13 +139,15 @@ def ml_decode(x: Constellation, y: np.ndarray, h: FadeVector) -> int | np.ndarra
     """Index (an array for a batch) of the point minimizing ||y - h*x'||^2; ties go low.
 
     A constellation with a product frame is searched by `_sphere_decode`,
-    which leaves -1 in the rows it does not decide (a zero fade, a radius
-    that is not finite).  Those rows, and every row of a point set without
-    a frame, go to `_brute_force`, whose metric arrays stay under
-    _DECODE_BYTES.  Both minimize the same metric, but the search evaluates
-    it elementwise and brute force by BLAS matrix products, whose last bits
-    can differ; so exact ties, and near-ties within that rounding (levels an ulp
-    apart in n >= 2), may break differently on the two paths.
+    which leaves -1 in the rows it does not decide (a fade whose square is
+    zero, underflowing ones included; a radius that is not finite, as from
+    a zero or NaN pivot of its Cholesky factorization).  Those rows, and
+    every row of a point set without a frame, go to `_brute_force`, whose
+    metric arrays stay under _DECODE_BYTES.  Both minimize the same metric,
+    but the search evaluates it elementwise and brute force by BLAS matrix
+    products, whose last bits can differ; so exact ties, and near-ties
+    within that rounding (levels an ulp apart in n >= 2, a fade too small to
+    move the metric), may break differently on the two paths.
     y is one received vector (n,) or a batch (c, n), and h one fade (n,)
     or one per row, of y's shape; any other shape, or a received vector
     that is not finite, is a ValueError.
@@ -183,22 +189,26 @@ def _brute_force(pts: np.ndarray, y: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.concatenate(dec)
 
 
-def _gram_schmidt(v: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt on the columns v[0..n-1] of each batch member.
+def _cholesky(rotation: np.ndarray, y: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """R and Q^T y of diag(h) rotation = QR for each of the c rows of y and h.
 
-    v is (n + 1, n, c): n columns of n rows for each of c members, then one
-    right-hand side.  Returns r of shape (n, n + 1, c): the upper-triangular
-    R of v[:n] = QR in r[:, :n] and Q^T v[n] in r[:, n].  Factoring the
-    right-hand side as one more column keeps Q^T v[n] backward stable where
-    the computed Q loses orthogonality.  v is overwritten.
+    Returns r of shape (n, n + 1, c): the upper-triangular R in r[:, :n]
+    and Q^T y in r[:, n], the first n rows of the Cholesky factor of the
+    augmented Gram matrix [M^T M | M^T y], M = diag(h) rotation.  That
+    matrix is two small matrix products, h^2 times the products of pairs of
+    rotation entries in each row and h y times the rotation; n row steps
+    factor it in place.  The strict lower triangle of r is zero.
     """
-    n = v.shape[1]
-    r = np.zeros((n, n + 1, v.shape[2]))
+    n, c = rotation.shape[0], len(y)
+    pairs = (rotation[:, :, None] * rotation[:, None, :]).reshape(n, n * n)
+    r = np.empty((n, n + 1, c))
+    r[:, :n] = (pairs.T @ (h * h).T).reshape(n, n, c)
+    r[:, n] = rotation.T @ (h * y).T
     for k in range(n):
-        r[k, k] = np.sqrt(np.einsum("ic,ic->c", v[k], v[k]))
-        qk = v[k] / r[k, k]
-        r[k, k + 1:] = np.einsum("ic,lic->lc", qk, v[k + 1:])
-        v[k + 1:] -= r[k, k + 1:, None, :] * qk
+        r[k, k] = np.sqrt(r[k, k])
+        r[k, k + 1:] /= r[k, k]
+        r[k + 1:, k + 1:] -= r[k, k + 1:n, None] * r[k, None, k + 1:]
+    r[np.tril_indices(n, -1)] = 0.0
     return r
 
 
@@ -207,18 +217,24 @@ def _sphere_decode(frame: ProductFrame, pts: np.ndarray, y: np.ndarray,
     """Exact ML decisions for a rotated product constellation, breadth first.
 
     The received y = diag(h) Q u + noise for level vectors u of the frame's
-    box, so with diag(h) Q = QR (`_gram_schmidt`) the metric is
-    ||Q^T y - R u||^2 plus a constant, a sum of one term per coordinate that
-    depends on the coordinates at and after it (Viterbo and Boutros, "A
-    universal lattice code decoder for fading channels", IEEE Trans. IT
-    45(5), 1999).  The box-clipped Babai point gives each symbol a radius;
-    `_descend` then fixes levels from the last coordinate down, keeping
-    every partial vector still inside it, and decides the survivors by
-    `_brute_force`'s metric on the points, evaluated elementwise, ties to
-    the lowest index.
-    The radius keeps a margin over the Babai distance, so the Babai path
-    survives.  A level whose candidates would pass _DECODE_BYTES splits the
-    survivors by symbol, and `_descend` finishes each part from that level.
+    box, so with diag(h) Q = QR the metric is ||Q^T y - R u||^2 plus a
+    constant, a sum of one term per coordinate that depends on the
+    coordinates at and after it (Viterbo and Boutros, "A universal lattice
+    code decoder for fading channels", IEEE Trans. IT 45(5), 1999).  R and
+    Q^T y come from the Cholesky factor of the augmented Gram matrix
+    [M^T M | M^T y], M = diag(h) Q (`_cholesky`; Fincke and Pohst, Math.
+    Comp. 44(170), 1985).  The box-clipped Babai point gives each symbol a
+    radius; `_descend` then fixes levels from the last coordinate down,
+    keeping every partial vector still inside it, and decides the
+    survivors.  The radius keeps a slack over the Babai distance, 1e-9 of
+    it plus 1e-12 of the size of y and of the faded points.  Where the
+    factorization completes, its backward error moves the part of the
+    metric that depends on u by O(n eps) of that size, whatever the
+    conditioning, so the ML point survives, and its computed metric exceeds
+    its symbol's least by less than the same slack, which `_descend`'s
+    final stage uses.  A level whose candidates would pass _DECODE_BYTES
+    splits the survivors by symbol, and `_descend` finishes each part from
+    that level.
 
     The Babai pass also certifies symbols.  At each coordinate it takes the
     terms of the Babai level and of its two neighbour levels, given the
@@ -238,17 +254,18 @@ def _sphere_decode(frame: ProductFrame, pts: np.ndarray, y: np.ndarray,
     nearest: then a neighbour's term is at most the Babai term, and the
     symbol is searched.
 
-    Rows with a zero fade are left at -1 for `ml_decode`'s brute force:
-    candidates that differ only in a coordinate it erases tie exactly, and
-    the tie must break as brute force breaks it.  So are rows with a radius
-    that is not finite, and any row left without a survivor.
+    Rows with a fade whose square is zero (h = 0, or h under about
+    1.6e-162, whose square underflows to zero) are left at -1 for
+    `ml_decode`'s brute force: candidates that differ only in a coordinate
+    it erases tie exactly, and the tie must break as brute force breaks it.  So are rows with a radius
+    that is not finite (a zero, underflowing or NaN pivot makes it so), and
+    any row left without a survivor.
     """
     c, n = y.shape
     levels = frame.levels
     strides = np.array(frame.index.strides) // frame.index.itemsize
-    v = np.concatenate([frame.rotation.T[:, :, None] * h.T[None], y.T[None]])
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = _gram_schmidt(v)
+        r = _cholesky(frame.rotation, y, h)
         # the box-clipped Babai point, each level the nearest to its centre:
         # its flat key, its term at each coordinate and the lesser term of
         # the levels next to it
@@ -271,7 +288,8 @@ def _sphere_decode(frame: ProductFrame, pts: np.ndarray, y: np.ndarray,
         # matters only when the Babai distance is itself at rounding level
         scale = np.sum(y * y, axis=1) + np.max(h * h, axis=1) * sum(np.max(v * v) for v in levels)
         radius = (1.0 + 1e-9) * (babai + 1e-12 * scale)
-        ok = np.all(h > 0, axis=1) & np.isfinite(radius)
+        slack = radius - babai
+        ok = np.all(h * h > 0, axis=1) & np.isfinite(radius)
         # the certificate: the search's test `t <= left` on the remainder
         # `left` it would carry down the Babai path
         alone, left = ok.copy(), radius
@@ -283,19 +301,25 @@ def _sphere_decode(frame: ProductFrame, pts: np.ndarray, y: np.ndarray,
     dec[alone] = frame.index.reshape(-1)[key[alone]]
     sym = np.flatnonzero(ok & ~alone)
     _descend(frame, pts, y, h, r, sym, np.zeros(len(sym), dtype=np.intp), radius[sym],
-             r[:, n].T[sym], dec)
+             r[:, n].T[sym], slack, dec)
     return dec
 
 
 def _descend(frame: ProductFrame, pts: np.ndarray, y: np.ndarray, h: np.ndarray,
              r: np.ndarray, sym: np.ndarray, key: np.ndarray, left: np.ndarray,
-             e: np.ndarray, dec: np.ndarray) -> None:
+             e: np.ndarray, slack: np.ndarray, dec: np.ndarray) -> None:
     """Fix the remaining coordinates of the survivors of `_sphere_decode`; decide them into dec.
 
     Each survivor is a symbol (ascending, so grouped), the flat key of the
     levels fixed so far, what is left of its radius, and the residual
     Q^T y - R u of the coordinates 0..j not yet fixed, which are fixed from
-    j down.  A symbol left without a survivor keeps its entry of dec.  At up
+    j down; slack is each symbol's radius less its Babai distance.  Once
+    every coordinate is fixed, a survivor whose `left` is more than its
+    symbol's slack below the symbol's largest `left` cannot be the ML point
+    and is dropped; a symbol with one survivor left is decided by it, and a
+    symbol with several by `_brute_force`'s metric on the points, evaluated
+    elementwise, ties to the lowest index.  A symbol left without a
+    survivor keeps its entry of dec.  At up
     to 32n + 64 bytes a candidate, a level whose candidates would pass
     _DECODE_BYTES is not expanded at once: the survivors are split into two
     groups of whole symbols, and each group is finished from that level, so
@@ -312,7 +336,7 @@ def _descend(frame: ProductFrame, pts: np.ndarray, y: np.ndarray, h: np.ndarray,
                 cut = starts[np.argmin(np.abs(starts - len(sym) / 2))]
                 for part in (slice(cut), slice(cut, None)):
                     _descend(frame, pts, y, h, r, sym[part], key[part], left[part],
-                             e[part], dec)
+                             e[part], slack, dec)
                 return
         t = e[:, j, None] - r[j, j][sym, None] * lv
         t *= t
@@ -320,9 +344,20 @@ def _descend(frame: ProductFrame, pts: np.ndarray, y: np.ndarray, h: np.ndarray,
         sym, key, left = sym[s], key[s] + i * strides[j], left[s] - t[s, i]
         e = e[s, :j] - r[:j, j].T[sym] * lv[i, None]
 
-    # survivors come grouped by symbol; decide each group by the brute-force
-    # metric, ties to the lowest index
-    cand = frame.index.reshape(-1)[key]
+    # survivors come grouped by symbol; keep those within the symbol's slack
+    # of its largest `left` (its least metric), decide a symbol with one such
+    # survivor by it and the rest by the brute-force metric, evaluated
+    # elementwise, ties to the lowest index
+    new = np.diff(sym, prepend=-1) != 0
+    first = np.flatnonzero(new)
+    low = np.maximum.reduceat(left, first) - slack[sym[first]]
+    near = left >= low[np.cumsum(new) - 1]
+    sym, cand = sym[near], frame.index.reshape(-1)[key[near]]
+    first = np.flatnonzero(np.diff(sym, prepend=-1))
+    size = np.diff(first, append=len(sym))
+    dec[sym[first[size == 1]]] = cand[first[size == 1]]
+    many = np.repeat(size > 1, size)
+    sym, cand = sym[many], cand[many]
     p, hs = pts[cand], h[sym]
     metric = (np.einsum("si,si->s", hs * hs, p * p)
               - 2.0 * np.einsum("si,si->s", y[sym] * hs, p))

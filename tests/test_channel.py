@@ -242,20 +242,58 @@ class TestSphereDecoder:
         for a, b in ((x, xp), (rotate(x, q), rotate(xp, q))):
             assert compute_report(b, ch).to_jsonable() == compute_report(a, ch).to_jsonable()
 
+    @pytest.mark.parametrize("erased", [0.0, 1e-170])
     @pytest.mark.parametrize("t_deg", [None, 60.0])
-    def test_zero_fade_entry(self, t_deg):
+    def test_zero_fade_entry(self, t_deg, erased):
         # an erased coordinate makes points that differ only there tie exactly
-        # (Q(60 deg) is not fully diverse), and brute force breaks the tie
+        # (Q(60 deg) is not fully diverse), and brute force breaks the tie; a
+        # fade whose square underflows erases its coordinate as a zero does
         x = _qam(16, 2, t_deg)
         rng = np.random.default_rng(3)
         idx = rng.integers(0, x.m, size=4096)
         h = sample_fade((4096, x.n), rng).h
-        h[::3, 1] = 0.0
-        h[::7, 3] = 0.0
+        h[::3, 1] = erased
+        h[::7, 3] = erased
         y = transmit(x.points[idx], FadeVector(h), ChannelSpec.from_ebn0_db(12.0), rng)
         dec = ml_decode(x, y, FadeVector(h))
         assert np.array_equal(dec, _brute_argmin(x, y, h))
         assert ml_decode(x, y[0], FadeVector(h[0])) == dec[0]
+
+    @pytest.mark.parametrize("x, symbols", [
+        (_qam(16, 2, 60.0), 2048), (_qam(64, 2, 60.0), 2048),
+        (_qam(4, 4, 45.0), 1024), (_qam(16, 4, 45.0), 256),
+    ], ids=["16qam-4d", "64qam-4d", "4qam-8d", "16qam-8d"])
+    @pytest.mark.parametrize("db", [10.0, 26.0])
+    def test_deep_fades(self, x, symbols, db, monkeypatch):
+        # one coordinate of every row, and a second of every other row, faded
+        # by 1e-3 ... 1e-15: the Gram matrix's condition number reaches 1e30.
+        # Where a decision differs from brute force's, the two points' metrics,
+        # recomputed in long double, agree within 1e-15 of the row's scale (a
+        # near-tie); and the search decides every row faded no deeper than 1e-6
+        brute_fades = []
+        brute = rotcon.channel._brute_force
+        monkeypatch.setattr("rotcon.channel._brute_force",
+                            lambda *a: brute_fades.append(a[2]) or brute(*a))
+        rng = np.random.default_rng(7)
+        idx = rng.integers(0, x.m, size=symbols)
+        h = sample_fade((symbols, x.n), rng).h
+        coord = np.argsort(rng.random((symbols, x.n)), axis=1)
+        rows = np.arange(symbols)
+        h[rows, coord[:, 0]] *= 10.0 ** -rng.integers(3, 16, size=symbols)
+        h[rows[::2], coord[::2, 1]] *= 10.0 ** -rng.integers(3, 16, size=len(rows[::2]))
+        y = transmit(x.points[idx], FadeVector(h), ChannelSpec.from_ebn0_db(db), rng)
+        dec = ml_decode(x, y, FadeVector(h))
+        best = np.concatenate([_brute_argmin(x, y[lo:lo + 64], h[lo:lo + 64])
+                               for lo in range(0, symbols, 64)])
+        d = np.flatnonzero(dec != best)
+        p, yd, hd = x.points.astype(np.longdouble), y[d].astype(np.longdouble), h[d]
+
+        def metric(i):
+            return np.sum((yd - hd * p[i[d]]) ** 2, axis=1)
+
+        scale = np.sum(y * y, axis=1) + np.max(h * h, axis=1) * np.max(np.sum(x.points**2, axis=1))
+        assert np.all(np.abs(metric(dec) - metric(best)) <= 1e-15 * scale[d])
+        assert all(np.all(np.min(f, axis=1) < 1e-6) for f in brute_fades)
 
     @pytest.fixture
     def batch_sizes(self, monkeypatch):
@@ -284,7 +322,7 @@ class TestSphereDecoder:
         # decisions stay brute force's
         monkeypatch.setattr("rotcon.channel._DECODE_BYTES", 1 << 16)
         _assert_decisions_match(_qam(64, 2, 30.0), -10.0, 4096, seed=1)
-        assert batch_sizes == [2048, 2048]  # one Gram-Schmidt step a chunk: nothing restarts
+        assert batch_sizes == [2048, 2048]  # one factorization a chunk: nothing restarts
         splits = (len(descents) - len(batch_sizes)) // 2
         assert splits > 2
         assert min(k for _, k in descents) < 64
