@@ -242,8 +242,9 @@ class TestSphereDecoder:
         for a, b in ((x, xp), (rotate(x, q), rotate(xp, q))):
             assert compute_report(b, ch).to_jsonable() == compute_report(a, ch).to_jsonable()
 
-    @pytest.mark.parametrize("erased", [0.0, 1e-170])
-    @pytest.mark.parametrize("t_deg", [None, 60.0])
+    @pytest.mark.parametrize("t_deg, erased", [(None, 0.0), (60.0, 0.0), (None, 1e-170),
+                                               (60.0, 1e-170)],
+                             ids=["None", "60.0", "None-1e-170", "60.0-1e-170"])
     def test_zero_fade_entry(self, t_deg, erased):
         # an erased coordinate makes points that differ only there tie exactly
         # (Q(60 deg) is not fully diverse), and brute force breaks the tie; a
