@@ -189,8 +189,8 @@ def _brute_force(pts: np.ndarray, y: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.concatenate(dec)
 
 
-def _cholesky(rotation: np.ndarray, y: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """R and Q^T y of diag(h) rotation = QR for each of the c rows of y and h.
+def _cholesky(rotation: np.ndarray, hh: np.ndarray, hy: np.ndarray) -> np.ndarray:
+    """R and Q^T y of diag(h) rotation = QR for each of the c rows of hh = h*h and hy = h*y.
 
     Returns r of shape (n, n + 1, c): the upper-triangular R in r[:, :n]
     and Q^T y in r[:, n], the first n rows of the Cholesky factor of the
@@ -199,11 +199,11 @@ def _cholesky(rotation: np.ndarray, y: np.ndarray, h: np.ndarray) -> np.ndarray:
     rotation entries in each row and h y times the rotation; n row steps
     factor it in place.  The strict lower triangle of r is zero.
     """
-    n, c = rotation.shape[0], len(y)
+    n, c = rotation.shape[0], len(hh)
     pairs = (rotation[:, :, None] * rotation[:, None, :]).reshape(n, n * n)
     r = np.empty((n, n + 1, c))
-    r[:, :n] = (pairs.T @ (h * h).T).reshape(n, n, c)
-    r[:, n] = rotation.T @ (h * y).T
+    r[:, :n] = (pairs.T @ hh.T).reshape(n, n, c)
+    r[:, n] = rotation.T @ hy.T
     for k in range(n):
         r[k, k] = np.sqrt(r[k, k])
         r[k, k + 1:] /= r[k, k]
@@ -236,6 +236,12 @@ def _sphere_decode(frame: ProductFrame, pts: np.ndarray, y: np.ndarray,
     splits the survivors by symbol, and `_descend` finishes each part from
     that level.
 
+    Every per-symbol quantity is kept coordinate-major, one long row of
+    symbols per coordinate: r is (n, n + 1, c), the Babai pass works on its
+    rows, and the sum of y*y, the largest h*h and the test h*h > 0 go a
+    column at a time rather than along short rows of n.  The axes' midpoints
+    and padded levels are formed once a call.
+
     The Babai pass also certifies symbols.  At each coordinate it takes the
     terms of the Babai level and of its two neighbour levels, given the
     Babai levels after it, with the search's own operations and so with its
@@ -264,18 +270,21 @@ def _sphere_decode(frame: ProductFrame, pts: np.ndarray, y: np.ndarray,
     c, n = y.shape
     levels = frame.levels
     strides = np.array(frame.index.strides) // frame.index.itemsize
+    # each axis's midpoints, and its levels padded by -inf and inf, so that
+    # past the box a neighbour of the Babai level is infinitely far
+    mids = [(lv[1:] + lv[:-1]) / 2 for lv in levels]
+    padded = [np.concatenate(([-np.inf], lv, [np.inf])) for lv in levels]
+    hh = h * h
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = _cholesky(frame.rotation, y, h)
+        r = _cholesky(frame.rotation, hh, h * y)
         # the box-clipped Babai point, each level the nearest to its centre:
         # its flat key, its term at each coordinate and the lesser term of
         # the levels next to it
         e, babai, key = r[:, n].copy(), np.zeros(c), np.zeros(c, dtype=np.intp)
         tb, other = np.empty((n, c)), np.empty((n, c))
         for j in reversed(range(n)):
-            lv = levels[j]
-            b = np.searchsorted((lv[1:] + lv[:-1]) / 2, e[j] / r[j, j])
-            # the levels below, at and above the Babai level; past the box, -inf and inf
-            u = np.concatenate(([-np.inf], lv, [np.inf]))[b + _NEIGHBOURS]
+            b = np.searchsorted(mids[j], e[j] / r[j, j])
+            u = padded[j][b + _NEIGHBOURS]  # the levels below, at and above the Babai level
             d = e[j] - r[j, j] * u
             t = d * d
             tb[j] = t[1]
@@ -286,10 +295,15 @@ def _sphere_decode(frame: ProductFrame, pts: np.ndarray, y: np.ndarray,
         # 1e-9 relative slack, plus an allowance for rounding at the size of y and of
         # the faded points, whose ||p||^2 the box bounds (rotation keeps norms); it
         # matters only when the Babai distance is itself at rounding level
-        scale = np.sum(y * y, axis=1) + np.max(h * h, axis=1) * sum(np.max(v * v) for v in levels)
+        scale, top, ok = y[:, 0] * y[:, 0], hh[:, 0].copy(), hh[:, 0] > 0
+        for i in range(1, n):
+            scale += y[:, i] * y[:, i]
+            np.maximum(top, hh[:, i], out=top)
+            ok &= hh[:, i] > 0
+        scale += top * sum(np.max(v * v) for v in levels)
         radius = (1.0 + 1e-9) * (babai + 1e-12 * scale)
         slack = radius - babai
-        ok = np.all(h * h > 0, axis=1) & np.isfinite(radius)
+        ok &= np.isfinite(radius)
         # the certificate: the search's test `t <= left` on the remainder
         # `left` it would carry down the Babai path
         alone, left = ok.copy(), radius
@@ -301,70 +315,84 @@ def _sphere_decode(frame: ProductFrame, pts: np.ndarray, y: np.ndarray,
     dec[alone] = frame.index.reshape(-1)[key[alone]]
     sym = np.flatnonzero(ok & ~alone)
     _descend(frame, pts, y, h, r, sym, np.zeros(len(sym), dtype=np.intp), radius[sym],
-             r[:, n].T[sym], slack, dec)
+             [col[sym] for col in r[:, n]], slack, dec)
     return dec
 
 
 def _descend(frame: ProductFrame, pts: np.ndarray, y: np.ndarray, h: np.ndarray,
              r: np.ndarray, sym: np.ndarray, key: np.ndarray, left: np.ndarray,
-             e: np.ndarray, slack: np.ndarray, dec: np.ndarray) -> None:
+             e: list[np.ndarray], slack: np.ndarray, dec: np.ndarray) -> None:
     """Fix the remaining coordinates of the survivors of `_sphere_decode`; decide them into dec.
 
     Each survivor is a symbol (ascending, so grouped), the flat key of the
     levels fixed so far, what is left of its radius, and the residual
     Q^T y - R u of the coordinates 0..j not yet fixed, which are fixed from
-    j down; slack is each symbol's radius less its Babai distance.  Once
-    every coordinate is fixed, a survivor whose `left` is more than its
-    symbol's slack below the symbol's largest `left` cannot be the ML point
-    and is dropped; a symbol with one survivor left is decided by it, and a
-    symbol with several by `_brute_force`'s metric on the points, evaluated
-    elementwise, ties to the lowest index.  A symbol left without a
-    survivor keeps its entry of dec.  At up
-    to 32n + 64 bytes a candidate, a level whose candidates would pass
-    _DECODE_BYTES is not expanded at once: the survivors are split into two
-    groups of whole symbols, and each group is finished from that level, so
-    no level is searched twice.
+    j down; e holds that residual as j + 1 columns, one 1-D array over the
+    survivors per coordinate.  slack is each symbol's radius less its Babai
+    distance.  A level tests all its (survivor, level) candidates at once,
+    `t <= left` on one survivor-major array, and a flat index of those that
+    pass, divided by the axis's level count, gives each its survivor and
+    level; the rest are 1-D gathers.  Once every coordinate is fixed, a
+    survivor whose `left` is more than its symbol's slack below the
+    symbol's largest `left` cannot be the ML point and is dropped; a symbol
+    with one survivor left is decided by it, and a symbol with several by
+    `_brute_force`'s metric on the points, evaluated elementwise, ties to
+    the lowest index.  A symbol left without a survivor keeps its entry of
+    dec.
+
+    A level needs at most 8n + 80 bytes a candidate, when every candidate
+    passes: the term, its flat index, survivor and level (8 each), the
+    survivors' symbol, key, remainder and level value (32), the j < n new
+    residual columns (8 each) and three column-sized temporaries (24).  A
+    level whose candidates would pass _DECODE_BYTES is not expanded at
+    once: the survivors are split into two groups of whole symbols, and
+    each group is finished from that level, so no level is searched twice.
     """
-    n = len(frame.levels)
     strides = np.array(frame.index.strides) // frame.index.itemsize
-    for j in reversed(range(e.shape[1])):
+    for j in reversed(range(len(e))):
         lv = frame.levels[j]
-        if len(sym) * len(lv) * (32 * n + 64) > _DECODE_BYTES:
+        if len(sym) * len(lv) * (8 * len(frame.levels) + 80) > _DECODE_BYTES:
             # the symbol boundary nearest the middle of the survivors
             starts = np.flatnonzero(np.diff(sym)) + 1
             if len(starts):
                 cut = starts[np.argmin(np.abs(starts - len(sym) / 2))]
                 for part in (slice(cut), slice(cut, None)):
                     _descend(frame, pts, y, h, r, sym[part], key[part], left[part],
-                             e[part], slack, dec)
+                             [col[part] for col in e], slack, dec)
                 return
-        t = e[:, j, None] - r[j, j][sym, None] * lv
+        # the term of every (survivor, level) candidate, formed level-major,
+        # each operation along the survivors, then laid out survivor-major, so
+        # that the candidates that pass come grouped by symbol
+        t = e[j] - np.multiply.outer(lv, r[j, j][sym])
         t *= t
-        s, i = np.nonzero(t <= left[:, None])
-        sym, key, left = sym[s], key[s] + i * strides[j], left[s] - t[s, i]
-        e = e[s, :j] - r[:j, j].T[sym] * lv[i, None]
+        t = t.T.copy()
+        flat = np.flatnonzero(t <= left[:, None])
+        t = t.take(flat)  # the terms that pass; the candidates' array goes
+        s, i = np.divmod(flat, len(lv))
+        sym, key, left = sym[s], key[s] + i * strides[j], left[s] - t
+        lvi = lv[i]
+        e = [e[k][s] - r[k, j][sym] * lvi for k in range(j)]
 
-    # survivors come grouped by symbol; keep those within the symbol's slack
-    # of its largest `left` (its least metric), decide a symbol with one such
-    # survivor by it and the rest by the brute-force metric, evaluated
-    # elementwise, ties to the lowest index
-    new = np.diff(sym, prepend=-1) != 0
-    first = np.flatnonzero(new)
-    low = np.maximum.reduceat(left, first) - slack[sym[first]]
-    near = left >= low[np.cumsum(new) - 1]
+    # keep the survivors within their symbol's slack of its largest `left`
+    # (its least metric); decide a symbol with one such survivor by it and
+    # the rest by the brute-force metric, evaluated elementwise, ties to the
+    # lowest index.  Per-symbol values sit at the symbol's own index.
+    low = np.full(len(dec), -np.inf)
+    np.maximum.at(low, sym, left)
+    near = left >= (low - slack)[sym]
     sym, cand = sym[near], frame.index.reshape(-1)[key[near]]
-    first = np.flatnonzero(np.diff(sym, prepend=-1))
-    size = np.diff(first, append=len(sym))
-    dec[sym[first[size == 1]]] = cand[first[size == 1]]
-    many = np.repeat(size > 1, size)
-    sym, cand = sym[many], cand[many]
+    size = np.bincount(sym, minlength=len(dec))
+    one = size[sym] == 1
+    dec[sym[one]] = cand[one]
+    sym, cand = sym[~one], cand[~one]
     p, hs = pts[cand], h[sym]
     metric = (np.einsum("si,si->s", hs * hs, p * p)
               - 2.0 * np.einsum("si,si->s", y[sym] * hs, p))
-    new = np.diff(sym, prepend=-1) != 0
-    first = np.flatnonzero(new)
-    best = np.minimum.reduceat(metric, first)[np.cumsum(new) - 1]
-    dec[sym[first]] = np.minimum.reduceat(np.where(metric == best, cand, len(pts)), first)
+    best = np.full(len(dec), np.inf)
+    np.minimum.at(best, sym, metric)
+    win = metric == best[sym]
+    dec[size > 1] = len(pts)
+    np.minimum.at(dec, sym[win], cand[win])
 
 
 def r0_conditional(x: Constellation, h: np.ndarray, ch: ChannelSpec) -> float | np.ndarray:
@@ -424,7 +452,13 @@ def ber_monte_carlo(
     if x.frame is None:
         _log.info("ber_monte_carlo: brute-force ML decoding for m=%d, n=%d: the points "
                   "are not a rotated Cartesian product of their axis levels", x.m, x.n)
+    # each label as an integer, so that the Hamming distance of two labels is
+    # the bit count of their XOR, read from a table of the counts of 0 .. m - 1
     bits = np.frombuffer("".join(x.labels).encode(), dtype=np.uint8).reshape(x.m, x.q_bits)
+    codes, ones = np.zeros(x.m, dtype=np.intp), np.zeros(1, dtype=np.uint8)
+    for column in bits.T:
+        codes = 2 * codes + (column == ord("1"))
+        ones = np.concatenate((ones, ones + 1))
     symbols_per_point = -(-min_bits // x.q_bits)
     n_chunks = -(-symbols_per_point // _CHUNK_SYMBOLS)
     rows = []
@@ -437,7 +471,7 @@ def ber_monte_carlo(
             h = sample_fade((c, x.n), rng)
             dec = ml_decode(x, transmit(x.points[idx], h, ch, rng), h)
             sym_err += int(np.count_nonzero(dec != idx))
-            bit_err += int(np.sum(bits[idx] != bits[dec]))
+            bit_err += int(ones[codes[idx] ^ codes[dec]].sum())
         rows.append(
             BerRow(
                 ebn0_db=ch.ebn0_db if ch.ebn0_db is not None else float("nan"),

@@ -57,6 +57,14 @@ def _qam(M, half_dims, t_deg=None):
     return rotate(x, rotation_at(skew_family(k), math.radians(t_deg)))
 
 
+def _unequal_axes():
+    """A rotated 2 x 4 x 8 x 2 grid: 128 labeled points on axes of different level counts."""
+    lv = [np.arange(1 - k, k, 2, dtype=float) for k in (2, 4, 8, 2)]
+    u = np.stack(np.meshgrid(*lv, indexing="ij"), axis=-1).reshape(-1, 4)
+    x = normalize_energy(Constellation(u, [format(i, "07b") for i in range(128)]), 7.0)
+    return rotate(x, rotation_at(skew_family(2), math.radians(30.0)))
+
+
 def _saved_and_loaded(x):
     with tempfile.TemporaryDirectory() as d:
         save(x, Path(d) / "x.json")
@@ -311,7 +319,7 @@ class TestSphereDecoder:
         calls = []
         descend = rotcon.channel._descend
         monkeypatch.setattr("rotcon.channel._descend",
-                            lambda *a: calls.append((a[8].shape[1] - 1, len(np.unique(a[5])))) or
+                            lambda *a: calls.append((len(a[8]) - 1, len(np.unique(a[5])))) or
                             descend(*a))
         return calls
 
@@ -328,6 +336,19 @@ class TestSphereDecoder:
         assert splits > 2
         assert min(k for _, k in descents) < 64
         assert {j for j, _ in descents} > {3}  # parts go on from coordinates below the first
+
+    @pytest.mark.parametrize("budget", [None, 1 << 16], ids=["unsplit", "64KiB"])
+    def test_unequal_axes(self, budget, descents, no_brute_force, monkeypatch):
+        # each level's flat candidate index is divided by its own axis's level
+        # count (2, 4, 8 and 2 here); under a 64 KiB budget every chunk splits
+        if budget is not None:
+            monkeypatch.setattr("rotcon.channel._DECODE_BYTES", budget)
+        x = _unequal_axes()
+        assert [len(lv) for lv in x.frame.levels] == [2, 4, 8, 2]
+        for db in (0.0, 10.0, 20.0):
+            descents.clear()
+            _assert_decisions_match(x, db, 4096, seed=int(db))
+            assert (len(descents) > 2) == (budget is not None)
 
     @pytest.mark.parametrize("M", [16, 64])
     def test_the_byte_budget_holds_a_chunk_at_10_db(self, M, batch_sizes):
@@ -432,6 +453,39 @@ class TestBerMonteCarlo:
         rep = ber_monte_carlo(x, [ChannelSpec.from_ebn0_db(8.0), ChannelSpec.from_ebn0_db(12.0)],
                               min_bits=20000, seed=5)
         assert [(r.bit_errors, r.symbol_errors) for r in rep.rows] == [(3319, 1744), (1723, 1001)]
+
+    @pytest.mark.parametrize("x", [
+        _qam(16, 2, 30.0),
+        Constellation(random_constellation(np.random.default_rng(5), 64, 4).points,
+                      make_qam_product(64, 1).labels),
+    ], ids=["rotated-16qam-4d", "frameless"])
+    def test_bit_errors_are_hamming_distances(self, x, monkeypatch):
+        # every symbol sent and decided, seen at `transmit` and `ml_decode`;
+        # the bit errors are the naive Hamming count over their label strings
+        where = {p.tobytes(): i for i, p in enumerate(x.points)}
+        sent, decided = [], []
+        send, decode = rotcon.channel.transmit, rotcon.channel.ml_decode
+
+        def transmit_spy(p, *args):
+            sent.extend(where[q.tobytes()] for q in p)
+            return send(p, *args)
+
+        def decode_spy(*args):
+            dec = decode(*args)
+            decided.extend(dec.tolist())
+            return dec
+
+        monkeypatch.setattr("rotcon.channel.transmit", transmit_spy)
+        monkeypatch.setattr("rotcon.channel.ml_decode", decode_spy)
+        for db in (2.0, 12.0):
+            sent.clear()
+            decided.clear()
+            (row,) = ber_monte_carlo(x, [ChannelSpec.from_ebn0_db(db)], min_bits=30000, seed=3).rows
+            pairs = list(zip(sent, decided))
+            assert len(sent) == len(decided) == row.symbols_simulated
+            hamming = sum(a != b for i, d in pairs for a, b in zip(x.labels[i], x.labels[d]))
+            assert row.bit_errors == hamming > 0
+            assert row.symbol_errors == sum(i != d for i, d in pairs)
 
     def test_seed_changes_outcome(self):
         x = normalize_energy(make_qam_product(4, 1), 2.0)
